@@ -16,6 +16,7 @@ import numpy as np
 from .detection import DetectorConfig, Routine
 from .errors import ConfigError
 from .harness import ScenarioSpec
+from .music import unambiguous_range
 from .presets import BASELINE_SPEED_OF_LIGHT
 from .signal_model import RadioConfig
 from .smoothing import SubarrayPlan, make_plan
@@ -141,10 +142,8 @@ def build_run_config(values: dict) -> RunConfig:
         merge_radius=(values["merge_radius_r"], values["merge_radius_theta"]),
         powell_tol=values["powell_tol"], powell_max_iter=values["powell_max_iter"],
         kappa=values["kappa"])
-    r_max = radio.speed_of_light_m_s / (2.0 * plan.decim_f
-                                        * radio.subcarrier_spacing_hz)
     base_max = values["base_range_max_m"] if values["base_range_max_m"] is not None \
-        else r_max
+        else unambiguous_range(radio, plan)
     stop, step = values["range_diff_stop"], values["range_diff_step"]
     if step <= 0:
         raise ConfigError(f"range_diff_step must be positive, got {step}")

@@ -19,7 +19,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import AlreadyCanceledError, ConfigError, DomainError
 from .music import (DEFAULT_THETA_LIM_RAD, SpectrumEvaluator, SpectrumGrid,
-                    Subspaces, SteeringParams, decimated_steering, grid_axes)
+                    Subspaces, SteeringParams, coarse_grid, decimated_steering)
 from .signal_model import RadioConfig
 from .smoothing import SubarrayPlan
 
@@ -78,10 +78,15 @@ class DetectorConfig:
         if self.powell_tol <= 0 or self.kappa <= 0:
             raise ConfigError("powell_tol and kappa must be positive")
 
+    @property
+    def n_seeds(self) -> int:
+        """Grid maxima refined per iteration: one for SINGLE, n_start otherwise."""
+        return 1 if self.routine is Routine.SINGLE else self.n_start
+
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Everything needed to rebuild the coarse grid during detection."""
+    """The (radio, plan, theta-limit) record that fixes the coarse grid."""
 
     radio: RadioConfig
     plan: SubarrayPlan
@@ -298,11 +303,9 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
     bounds every detection. Re-deriving it keeps the gate tied to the
     remaining spectrum floor instead of the already-canceled peaks.
     """
-    ranges, angles = grid_axes(grid_config.radio, grid_config.plan,
-                               grid_config.theta_lim_rad)
-    grid = SpectrumGrid(ranges_m=ranges, angles_rad=angles,
-                        values=SpectrumEvaluator(subspaces, params).values(ranges,
-                                                                           angles))
+    radio, plan = grid_config.radio, grid_config.plan
+    theta_lim = grid_config.theta_lim_rad
+    grid = coarse_grid(subspaces, params, radio, plan, theta_lim)
     gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
     spectra = 1
 
@@ -313,26 +316,23 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
                                routine=det_config.routine, spectra_computed=spectra)
 
     if det_config.routine is Routine.OFF:
-        merged = refine_candidates(subspaces, params, grid, det_config,
-                                   grid_config.theta_lim_rad, det_config.n_start)
+        merged = refine_candidates(subspaces, params, grid, det_config, theta_lim,
+                                   det_config.n_seeds)
         dets = [Detection(r, th, val, 0) for r, th, val in merged if val >= gamma]
         return DetectionReport(detections=tuple(dets), threshold_used=gamma,
                                routine=det_config.routine, spectra_computed=spectra)
 
-    n_seeds = 1 if det_config.routine is Routine.SINGLE else det_config.n_start
     m_total = subspaces.noise_basis.shape[0]
     current = subspaces
     detections: list[Detection] = []
     saturated = False
     for iteration in range(det_config.max_iterations):
         if iteration > 0:
-            grid = SpectrumGrid(
-                ranges_m=ranges, angles_rad=angles,
-                values=SpectrumEvaluator(current, params).values(ranges, angles))
+            grid = coarse_grid(current, params, radio, plan, theta_lim)
             spectra += 1
             gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
-        merged = refine_candidates(current, params, grid, det_config,
-                                   grid_config.theta_lim_rad, n_seeds)
+        merged = refine_candidates(current, params, grid, det_config, theta_lim,
+                                   det_config.n_seeds)
         survivors = [p for p in merged if p[2] >= gamma]
         if not survivors:
             break

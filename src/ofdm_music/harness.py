@@ -17,16 +17,16 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (DetectionReport, DetectorConfig, GridConfig, Routine,
-                        detect, refine_candidates)
+from .detection import (Detection, DetectionReport, DetectorConfig, GridConfig,
+                        cancel_target, cfar_threshold, detect, refine_candidates)
 from .errors import AlreadyCanceledError, ConfigError, DomainError
-from .music import (DEFAULT_THETA_LIM_RAD, SpectrumEvaluator, SpectrumGrid,
-                    Subspaces, SteeringParams, decompose, grid_axes,
-                    steering_params)
+from .music import (DEFAULT_THETA_LIM_RAD, Subspaces, SteeringParams,
+                    coarse_grid, decompose, steering_params)
 from .signal_model import (RadioConfig, Target, TargetScene, scene_coefficient,
                            synthesize_csi)
 from .smoothing import SubarrayPlan, covariance, smooth
@@ -61,8 +61,15 @@ class ScenarioSpec:
             raise ConfigError("range differences must be nonnegative")
         if self.base_range_max_m <= 0:
             raise ConfigError("base_range_max_m must be positive")
-        if self.angle_range_deg[0] >= self.angle_range_deg[1]:
+        span = self.angle_range_deg[1] - self.angle_range_deg[0]
+        if span <= 0:
             raise ConfigError("angle range must be nonempty")
+        # Uniform azimuth pairs from the span are almost surely never this far
+        # apart, so the rejection loop in generate_trial would never end.
+        if self.min_angle_sep_deg >= span:
+            raise ConfigError(
+                f"min_angle_sep_deg={self.min_angle_sep_deg} must be below the "
+                f"angle span of {span} deg")
 
 
 @dataclass(frozen=True)
@@ -153,35 +160,27 @@ class ScoringContext:
                  theta_lim_rad: float = DEFAULT_THETA_LIM_RAD):
         self.subspaces = subspaces
         self.params = params
-        self.radio = radio
-        self.plan = plan
-        self.theta_lim_rad = theta_lim_rad
-        self._axes = grid_axes(radio, plan, theta_lim_rad)
-        self._initial_grid: SpectrumGrid | None = None
+        self.grid_config = GridConfig(radio, plan, theta_lim_rad)
 
-    def _grid_for(self, subspaces: Subspaces) -> SpectrumGrid:
-        ranges, angles = self._axes
-        vals = SpectrumEvaluator(subspaces, self.params).values(ranges, angles)
-        return SpectrumGrid(ranges_m=ranges, angles_rad=angles, values=vals)
+    def _argmax(self, subspaces: Subspaces) -> tuple[float, float]:
+        g = self.grid_config
+        r, th, _ = coarse_grid(subspaces, self.params, g.radio, g.plan,
+                               g.theta_lim_rad).argmax()
+        return r, th
 
     def grid_argmax(self) -> tuple[float, float]:
-        if self._initial_grid is None:
-            self._initial_grid = self._grid_for(self.subspaces)
-        r, th, _ = self._initial_grid.argmax()
-        return r, th
+        return self._argmax(self.subspaces)
 
     def residual_argmax(self, canceled: list[tuple[float, float]]
                         ) -> tuple[float, float]:
         """Grid maximum after canceling the given (range, azimuth) points."""
-        from .detection import Detection, cancel_target
         subs = self.subspaces
         for r, th in canceled:
             try:
                 subs = cancel_target(subs, self.params, Detection(r, th, 0.0, 0))
             except AlreadyCanceledError:
                 continue
-        r, th, _ = self._grid_for(subs).argmax()
-        return r, th
+        return self._argmax(subs)
 
 
 def assign_and_score(truth, report: DetectionReport,
@@ -262,13 +261,30 @@ def run_trial(radio: RadioConfig, plan: SubarrayPlan, det_config: DetectorConfig
     return assign_and_score(truth, report, ctx, score_angle=plan.n_sub_a > 1)
 
 
+@contextmanager
+def _trial_map(n_workers: int):
+    """Yield ``map_trials(fn, job, n_trials)``, backed by one pool per block.
+
+    ``map_trials`` returns ``[fn(job, t) for t in range(n_trials)]`` in trial
+    order. With more than one worker every call shares a single process
+    pool, opened on entry and shut down on exit.
+    """
+    with (ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1
+          else nullcontext()) as pool:
+        def map_trials(fn, job, n_trials: int) -> list:
+            if pool is None:
+                return [fn(job, t) for t in range(n_trials)]
+            chunk = max(1, n_trials // (8 * n_workers))
+            return list(pool.map(fn, [job] * n_trials, range(n_trials),
+                                 chunksize=chunk))
+        yield map_trials
+
+
 @dataclass(frozen=True)
 class _TrialJob:
     spec: ScenarioSpec
-    radio: RadioConfig
-    plan: SubarrayPlan
+    grid: GridConfig
     det_config: DetectorConfig
-    theta_lim_rad: float
     range_diff_m: float
     sweep_index: int
 
@@ -276,11 +292,12 @@ class _TrialJob:
 def _run_trial_job(job: _TrialJob, trial_index: int
                    ) -> tuple[tuple[tuple[float, float], tuple[float, float]],
                               tuple[bool, bool]]:
-    scene = generate_trial(job.spec, job.radio, trial_index, job.range_diff_m)
+    g = job.grid
+    scene = generate_trial(job.spec, g.radio, trial_index, job.range_diff_m)
     noise_seed = _sub_seed(job.spec.rng_seed, _NOISE_TAG, trial_index,
                            job.sweep_index)
-    result = run_trial(job.radio, job.plan, job.det_config, scene, noise_seed,
-                       job.theta_lim_rad)
+    result = run_trial(g.radio, g.plan, job.det_config, scene, noise_seed,
+                       g.theta_lim_rad)
     return result.assigned_errors, result.missed
 
 
@@ -292,71 +309,61 @@ def run_sweep(spec: ScenarioSpec, radio: RadioConfig, plan: SubarrayPlan,
     """Run all trials at every sweep point and aggregate the metrics.
 
     Trials get independent sub-seeds, so the summary is bit-identical for any
-    worker count; aggregation always runs in trial order. Free-placement
-    scenarios collapse to a single sweep point with a NaN x value.
+    worker count; aggregation always runs in trial order. All sweep points
+    share one process pool. Free-placement scenarios collapse to a single
+    sweep point with a NaN x value.
     """
+    grid = GridConfig(radio, plan, theta_lim_rad)
     x_values = (math.nan,) if spec.free_placement else spec.range_diffs_m
     p_missed, rmse_r, rmse_th = [], [], []
-    for sweep_index, x in enumerate(x_values):
-        diff = 0.0 if spec.free_placement else float(x)
-        job = _TrialJob(spec=spec, radio=radio, plan=plan, det_config=det_config,
-                        theta_lim_rad=theta_lim_rad, range_diff_m=diff,
-                        sweep_index=sweep_index)
-        trials = range(spec.n_trials)
-        if n_workers > 1:
-            chunk = max(1, spec.n_trials // (8 * n_workers))
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                results = list(pool.map(_run_trial_job, [job] * spec.n_trials,
-                                        trials, chunksize=chunk))
-        else:
-            results = [_run_trial_job(job, t) for t in trials]
-        missed_any = [any(m) for _, m in results]
-        p_missed.append(float(np.mean(missed_any)))
-        n_targets = 1 if first_target_only else 2
-        range_errors = [errs[q][0] for errs, _ in results for q in range(n_targets)]
-        rmse_r.append(_rmse(range_errors))
-        if plan.n_sub_a > 1:
-            angle_errors = [math.degrees(errs[q][1])
-                            for errs, _ in results for q in range(n_targets)]
-            rmse_th.append(_rmse(angle_errors))
-        else:
-            rmse_th.append(math.nan)
-        logger.info("sweep point %s/%s (x=%s): p_missed=%.4f rmse_r=%.4f",
-                    sweep_index + 1, len(x_values), x, p_missed[-1], rmse_r[-1])
+    with _trial_map(n_workers) as map_trials:
+        for sweep_index, x in enumerate(x_values):
+            diff = 0.0 if spec.free_placement else float(x)
+            job = _TrialJob(spec=spec, grid=grid, det_config=det_config,
+                            range_diff_m=diff, sweep_index=sweep_index)
+            results = map_trials(_run_trial_job, job, spec.n_trials)
+            missed_any = [any(m) for _, m in results]
+            p_missed.append(float(np.mean(missed_any)))
+            n_targets = 1 if first_target_only else 2
+            range_errors = [errs[q][0] for errs, _ in results
+                            for q in range(n_targets)]
+            rmse_r.append(_rmse(range_errors))
+            if plan.n_sub_a > 1:
+                angle_errors = [math.degrees(errs[q][1])
+                                for errs, _ in results for q in range(n_targets)]
+                rmse_th.append(_rmse(angle_errors))
+            else:
+                rmse_th.append(math.nan)
+            logger.info("sweep point %s/%s (x=%s): p_missed=%.4f rmse_r=%.4f",
+                        sweep_index + 1, len(x_values), x, p_missed[-1], rmse_r[-1])
     return SweepSummary(x_axis=tuple(float(x) for x in x_values),
                         p_missed=tuple(p_missed), rmse_range_m=tuple(rmse_r),
                         rmse_azimuth_deg=tuple(rmse_th), n_trials=spec.n_trials)
 
 
-def _calibration_pivot(job: "_CalibrationJob", trial_index: int) -> float:
-    seed = _sub_seed(job.rng_seed, _CALIBRATION_TAG, trial_index)
-    scene = TargetScene(targets=(), noise_variance=job.noise_variance)
-    csi = synthesize_csi(job.radio, scene, seed)
-    subs = decompose(covariance(smooth(csi, job.plan)))
-    if subs.order_estimate == 0:
-        return 0.0   # flat spectrum: the detector cannot alarm on this trial
-    params = steering_params(job.radio, job.plan)
-    ranges, angles = grid_axes(job.radio, job.plan, job.theta_lim_rad)
-    vals = SpectrumEvaluator(subs, params).values(ranges, angles)
-    grid = SpectrumGrid(ranges_m=ranges, angles_rad=angles, values=vals)
-    quantile = float(np.quantile(vals, 1.0 - job.det_config.p_fa))
-    n_seeds = 1 if job.det_config.routine is Routine.SINGLE \
-        else job.det_config.n_start
-    peaks = refine_candidates(subs, params, grid, job.det_config,
-                              job.theta_lim_rad, n_seeds)
-    if not peaks:   # every refinement pinned at a domain edge: nothing to alarm
-        return 0.0
-    return max(p[2] for p in peaks) / quantile
-
-
 @dataclass(frozen=True)
 class _CalibrationJob:
-    radio: RadioConfig
-    plan: SubarrayPlan
+    grid: GridConfig
     det_config: DetectorConfig
-    theta_lim_rad: float
     noise_variance: float
     rng_seed: int
+
+
+def _calibration_pivot(job: _CalibrationJob, trial_index: int) -> float:
+    g = job.grid
+    seed = _sub_seed(job.rng_seed, _CALIBRATION_TAG, trial_index)
+    scene = TargetScene(targets=(), noise_variance=job.noise_variance)
+    csi = synthesize_csi(g.radio, scene, seed)
+    subs = decompose(covariance(smooth(csi, g.plan)))
+    if subs.order_estimate == 0:
+        return 0.0   # flat spectrum: the detector cannot alarm on this trial
+    params = steering_params(g.radio, g.plan)
+    grid = coarse_grid(subs, params, g.radio, g.plan, g.theta_lim_rad)
+    peaks = refine_candidates(subs, params, grid, job.det_config,
+                              g.theta_lim_rad, job.det_config.n_seeds)
+    if not peaks:   # every refinement pinned at a domain edge: nothing to alarm
+        return 0.0
+    return max(p[2] for p in peaks) / cfar_threshold(grid, job.det_config.p_fa)
 
 
 def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
@@ -371,17 +378,11 @@ def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
     probability that a noise-only trial produces any peak above
     kappa * quantile approximates p_fa. Deterministic for a given seed.
     """
-    job = _CalibrationJob(radio=radio, plan=plan, det_config=det_config,
-                          theta_lim_rad=theta_lim_rad,
-                          noise_variance=noise_variance, rng_seed=rng_seed)
-    trials = range(n_trials)
-    if n_workers > 1:
-        chunk = max(1, n_trials // (8 * n_workers))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            pivots = list(pool.map(_calibration_pivot, [job] * n_trials, trials,
-                                   chunksize=chunk))
-    else:
-        pivots = [_calibration_pivot(job, t) for t in trials]
+    job = _CalibrationJob(grid=GridConfig(radio, plan, theta_lim_rad),
+                          det_config=det_config, noise_variance=noise_variance,
+                          rng_seed=rng_seed)
+    with _trial_map(n_workers) as map_trials:
+        pivots = map_trials(_calibration_pivot, job, n_trials)
     return max(1.0, float(np.quantile(pivots, 1.0 - det_config.p_fa)))
 
 

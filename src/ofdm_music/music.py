@@ -8,8 +8,6 @@ decimated sub-array lattice.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -85,26 +83,6 @@ class SpectrumGrid:
         return float(self.ranges_m[i]), float(self.angles_rad[j]), \
             float(self.values[i, j])
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["range_m", "angle_rad", "value"])
-            for i, r in enumerate(self.ranges_m):
-                for j, th in enumerate(self.angles_rad):
-                    writer.writerow([repr(float(r)), repr(float(th)),
-                                     repr(float(self.values[i, j]))])
-
-    def to_binary(self, path) -> None:
-        """Dense float64 block plus a ``<path>.json`` metadata sidecar."""
-        np.ascontiguousarray(self.values, dtype="<f8").tofile(path)
-        with open(f"{path}.json", "w") as f:
-            json.dump({
-                "dtype": "float64",
-                "shape": list(self.values.shape),
-                "ranges_m": self.ranges_m.tolist(),
-                "angles_rad": self.angles_rad.tolist(),
-            }, f)
-
 
 def mdl_order(eigenvalues: np.ndarray, n_snapshots: int) -> int:
     """Wax-Kailath MDL model-order estimate from descending eigenvalues.
@@ -132,7 +110,13 @@ def mdl_order(eigenvalues: np.ndarray, n_snapshots: int) -> int:
 
 
 def decompose(cov: SampleCovariance) -> Subspaces:
-    """Eigendecompose and split into signal/noise subspaces at the MDL order."""
+    """Eigendecompose and split into signal/noise subspaces at the MDL order.
+
+    A non-finite covariance (NaN input, or finite CSI large enough to
+    overflow) is rejected up front: ``eigh`` would not flag it.
+    """
+    if not np.all(np.isfinite(cov.matrix)):
+        raise NumericalError("sample covariance has non-finite entries")
     try:
         w, u = np.linalg.eigh(cov.matrix)
     except np.linalg.LinAlgError as exc:
@@ -266,7 +250,11 @@ def grid_axes(config: RadioConfig, plan: SubarrayPlan,
 def coarse_grid(subspaces: Subspaces, params: SteeringParams, config: RadioConfig,
                 plan: SubarrayPlan,
                 theta_lim_rad: float = DEFAULT_THETA_LIM_RAD) -> SpectrumGrid:
-    """Evaluate the pseudospectrum on the half-resolution coarse grid."""
+    """Evaluate the pseudospectrum on the half-resolution coarse grid.
+
+    The one builder of coarse grids: detection, the re-grid after each
+    cancelation, scoring fallbacks and calibration all come through here.
+    """
     ranges, angles = grid_axes(config, plan, theta_lim_rad)
     vals = SpectrumEvaluator(subspaces, params).values(ranges, angles)
     return SpectrumGrid(ranges_m=ranges, angles_rad=angles, values=vals)

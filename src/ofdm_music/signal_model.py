@@ -9,7 +9,6 @@ reflection coefficient.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -59,11 +58,6 @@ class RadioConfig:
             raise ConfigError(
                 f"wavelength * carrier frequency deviates from c by {rel:.2e} relative")
 
-    def narrowband_ok(self) -> bool:
-        """True when the total bandwidth is small against the carrier (< 10%)."""
-        return (self.n_subcarriers * self.subcarrier_spacing_hz
-                / self.carrier_freq_hz) < 0.1
-
 
 @dataclass(frozen=True)
 class Target:
@@ -107,6 +101,11 @@ class CsiMatrix:
         if self.data.shape != expected:
             raise ConfigError(
                 f"CSI matrix shape {self.data.shape} does not match config {expected}")
+        finite = np.isfinite(self.data)
+        if not finite.all():
+            first = tuple(int(i) for i in np.argwhere(~finite)[0])
+            raise ConfigError(
+                f"CSI matrix has a non-finite entry at (antenna, subcarrier) {first}")
 
     # -- flat binary format: little-endian u32 K, u32 N header, then K*N
     # -- row-major complex entries as interleaved (re, im) float64 pairs.
@@ -135,21 +134,6 @@ class CsiMatrix:
                 f"payload for {k}x{n} matrix needs {expected} bytes, file has {len(raw)}",
                 byte_offset=min(len(raw), expected))
         data = np.frombuffer(raw[8:], dtype="<c16").reshape(k, n).copy()
-        return cls(data=data, config=config)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n_antennas": self.data.shape[0],
-            "n_subcarriers": self.data.shape[1],
-            "real": self.data.real.tolist(),
-            "imag": self.data.imag.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str, config: RadioConfig) -> "CsiMatrix":
-        doc = json.loads(text)
-        data = np.asarray(doc["real"], dtype=float) + 1j * np.asarray(doc["imag"],
-                                                                      dtype=float)
         return cls(data=data, config=config)
 
 

@@ -26,16 +26,12 @@ import numpy as np
 from .errors import ConfigError
 from .signal_model import CsiMatrix, RadioConfig
 
-PLAN_KEYS = ("A_f", "A_a", "D_f", "D_a", "S_f", "S_a")
-
-
 @dataclass(frozen=True)
 class SubarrayPlan:
-    """Sub-array geometry plus all derived counts.
+    """Sub-array geometry; the sample and sub-array counts derive from it.
 
-    Derived fields are recomputed in the constructor; passing inconsistent
-    values raises. ``n_subcarriers``/``n_antennas`` record the CSI dimensions
-    the plan was built against.
+    ``n_subcarriers``/``n_antennas`` record the CSI dimensions the plan was
+    built against.
     """
 
     aperture_f: int
@@ -46,13 +42,6 @@ class SubarrayPlan:
     stride_a: int
     n_subcarriers: int
     n_antennas: int
-    # derived
-    n_sub_f: int = 0
-    n_sub_a: int = 0
-    samples_per_subarray: int = 0
-    n_sets_f: int = 0
-    n_sets_a: int = 0
-    n_subarrays: int = 0
 
     def __post_init__(self):
         n, k = self.n_subcarriers, self.n_antennas
@@ -66,56 +55,39 @@ class SubarrayPlan:
                           ("S_f", self.stride_f), ("S_a", self.stride_a)):
             if val < 1:
                 raise ConfigError(f"{name} must be >= 1, got {val}")
-        derived = {
-            "n_sub_f": math.ceil(self.aperture_f / self.decim_f),
-            "n_sub_a": math.ceil(self.aperture_a / self.decim_a),
-            "n_sets_f": (n - self.aperture_f) // self.stride_f + 1,
-            "n_sets_a": (k - self.aperture_a) // self.stride_a + 1,
-        }
-        derived["samples_per_subarray"] = derived["n_sub_f"] * derived["n_sub_a"]
-        derived["n_subarrays"] = derived["n_sets_f"] * derived["n_sets_a"]
-        for name, val in derived.items():
-            if getattr(self, name) == 0:
-                object.__setattr__(self, name, val)
-            elif getattr(self, name) != val:
-                raise ConfigError(
-                    f"inconsistent derived field {name}: got {getattr(self, name)}, "
-                    f"recomputed {val}")
         # Largest sampled index must stay inside the matrix in both dimensions.
         assert self.max_antenna_index() <= k - 1
         assert self.max_subcarrier_index() <= n - 1
+
+    @property
+    def n_sub_f(self) -> int:
+        return math.ceil(self.aperture_f / self.decim_f)
+
+    @property
+    def n_sub_a(self) -> int:
+        return math.ceil(self.aperture_a / self.decim_a)
+
+    @property
+    def samples_per_subarray(self) -> int:
+        return self.n_sub_f * self.n_sub_a
+
+    @property
+    def n_sets_f(self) -> int:
+        return (self.n_subcarriers - self.aperture_f) // self.stride_f + 1
+
+    @property
+    def n_sets_a(self) -> int:
+        return (self.n_antennas - self.aperture_a) // self.stride_a + 1
+
+    @property
+    def n_subarrays(self) -> int:
+        return self.n_sets_f * self.n_sets_a
 
     def max_antenna_index(self) -> int:
         return (self.n_sets_a - 1) * self.stride_a + (self.n_sub_a - 1) * self.decim_a
 
     def max_subcarrier_index(self) -> int:
         return (self.n_sets_f - 1) * self.stride_f + (self.n_sub_f - 1) * self.decim_f
-
-    def to_text(self) -> str:
-        vals = dict(zip(PLAN_KEYS, (self.aperture_f, self.aperture_a, self.decim_f,
-                                    self.decim_a, self.stride_f, self.stride_a)))
-        return "".join(f"{key} = {vals[key]}\n" for key in PLAN_KEYS)
-
-    @classmethod
-    def from_text(cls, text: str, config: RadioConfig) -> "SubarrayPlan":
-        vals = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in PLAN_KEYS:
-                raise ConfigError(f"unknown plan key {key!r} on line {lineno}")
-            try:
-                vals[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"plan key {key} needs an integer, got {raw!r}")
-        missing = [key for key in PLAN_KEYS if key not in vals]
-        if missing:
-            raise ConfigError(f"plan config missing keys: {', '.join(missing)}")
-        return make_plan(config, vals["A_f"], vals["A_a"], vals["D_f"], vals["D_a"],
-                         vals["S_f"], vals["S_a"])
 
 
 @dataclass(frozen=True)

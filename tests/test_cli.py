@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import pytest
 
@@ -107,6 +108,18 @@ class TestEstimateCommand:
         assert main(["estimate", str(bad), "--config", str(baseline_cfg)]) == 2
         assert "byte offset 0" in capsys.readouterr().err
 
+    def test_nan_sample_exit_2(self, baseline_cfg, tmp_path, capsys):
+        # one NaN used to give exit 0 and a report with "gamma": NaN
+        csi_path = self.write_csi(tmp_path, (Target(8.0, 0.0, 0.015 + 0j),), 20.0)
+        raw = bytearray(csi_path.read_bytes())
+        raw[8 + 16 * 100:8 + 16 * 101] = struct.pack("<dd", math.nan, 0.0)
+        csi_path.write_bytes(bytes(raw))
+        assert main(["estimate", str(csi_path), "--config",
+                     str(baseline_cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
     def test_noise_only_empty_report(self, baseline_cfg, tmp_path, capsys):
         csi_path = self.write_csi(tmp_path, (), 0.0, seed=21)
         assert main(["estimate", str(csi_path), "--config",
@@ -183,6 +196,12 @@ class TestSweepCommand:
         path.write_text("nonsense = 1\n")
         assert main(["sweep", "--config", str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_unreachable_angle_separation_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "sep.cfg"
+        path.write_text("min_angle_sep_deg = 150\n")
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "min_angle_sep_deg" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -6,10 +6,12 @@ from scipy import stats
 
 from ofdm_music import (ConfigError, Detection, DetectionReport, DetectorConfig,
                         DomainError, Routine, ScenarioSpec, ScoringContext,
-                        Target, TargetScene, assign_and_score, covariance,
-                        decompose, generate_trial, noise_variance_for_snr,
-                        run_sweep, run_trial, smooth, steering_params,
-                        synthesize_csi, trimmed_rmse, write_sweep_outputs)
+                        Target, TargetScene, assign_and_score, calibrate_kappa,
+                        covariance, decompose, generate_trial, make_plan,
+                        noise_variance_for_snr, run_sweep, run_trial, smooth,
+                        steering_params, synthesize_csi, trimmed_rmse,
+                        write_sweep_outputs)
+from ofdm_music import harness
 from ofdm_music.presets import baseline_plan, baseline_radio
 
 from test_signal_model import small_radio
@@ -24,6 +26,20 @@ def spec_with(**kwargs):
 def make_report(dets, gamma=0.1, routine=Routine.MULTIPLE):
     return DetectionReport(detections=tuple(dets), threshold_used=gamma,
                            routine=routine, spectra_computed=1)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """``max_workers`` of every process pool the harness starts, in order."""
+    starts = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    return starts
 
 
 class TestGenerateTrial:
@@ -68,6 +84,19 @@ class TestGenerateTrial:
             th = [math.degrees(tgt.azimuth_rad) for tgt in scene.targets]
             assert all(-60.0 <= x <= 60.0 for x in th)
             assert abs(th[0] - th[1]) >= 20.0
+
+    @pytest.mark.parametrize("sep", [120.0, 150.0])
+    def test_unreachable_separation_rejected(self, sep):
+        # two azimuths in [-60, 60] deg are never 120 deg or more apart; the
+        # rejection loop in generate_trial used to spin forever on this spec
+        with pytest.raises(ConfigError, match="min_angle_sep_deg"):
+            spec_with(min_angle_sep_deg=sep)
+
+    def test_separation_just_inside_span_accepted(self):
+        spec = spec_with(min_angle_sep_deg=110.0, angle_range_deg=(-60.0, 60.0))
+        scene = generate_trial(spec, small_radio(n=16, k=2), 0, 0.0)
+        th = [math.degrees(t.azimuth_rad) for t in scene.targets]
+        assert abs(th[0] - th[1]) >= 110.0
 
     def test_free_placement_sorted(self):
         radio = small_radio(n=16, k=2)
@@ -258,6 +287,16 @@ class TestRunSweep:
         c = run_sweep(spec, radio, plan, DetectorConfig(), n_workers=2)
         assert a == b == c
 
+    def test_one_pool_per_sweep(self, pool_starts):
+        radio = baseline_radio()
+        plan = baseline_plan(radio)
+        spec = ScenarioSpec(n_trials=2, snr_db=15.0, range_diffs_m=(0.0, 0.5, 1.0),
+                            rng_seed=7, base_range_max_m=22.0)
+        parallel = run_sweep(spec, radio, plan, DetectorConfig(), n_workers=2)
+        assert pool_starts == [2]
+        assert run_sweep(spec, radio, plan, DetectorConfig()) == parallel
+        assert pool_starts == [2]   # one worker maps in-process
+
     def test_free_placement_single_point(self):
         radio = baseline_radio()
         plan = baseline_plan(radio)
@@ -301,6 +340,20 @@ class TestRunSweep:
         doc = json_mod.loads(open(json_path).read())
         assert doc["seed"] == 6
         assert doc["summary"]["n_trials"] == 2
+
+
+class TestCalibrateKappa:
+    def test_one_pool_and_worker_invariant(self, pool_starts):
+        # 8 snapshots of 27 samples: MDL overestimates the order on noise, so
+        # the pivots are nonzero and kappa is not the trivial 1.0
+        radio = small_radio(n=12, k=4)
+        plan = make_plan(radio, 9, 3, 1, 1, 1, 1)
+        kw = dict(n_trials=20, rng_seed=4, noise_variance=1.0)
+        parallel = calibrate_kappa(radio, plan, DetectorConfig(), n_workers=2, **kw)
+        assert pool_starts == [2]
+        assert parallel > 1.0
+        assert calibrate_kappa(radio, plan, DetectorConfig(), **kw) == parallel
+        assert pool_starts == [2]
 
 
 class TestRunTrial:

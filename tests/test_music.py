@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ofdm_music import (DomainError, SampleCovariance, SpectrumEvaluator, Subspaces,
+from ofdm_music import (DomainError, NumericalError, SampleCovariance, SpectrumEvaluator, Subspaces,
                         Target, TargetScene, coarse_grid, covariance,
                         decimated_steering, decompose, flop_estimate, grid_axes,
                         mdl_order, music_value, noise_variance_for_snr,
@@ -131,6 +131,14 @@ class TestDecompose:
         subs = decompose(SampleCovariance(matrix=r, n_snapshots=40))
         assert np.sum(subs.eigenvalues) == pytest.approx(np.trace(r).real,
                                                          rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        # eigh does not flag these: on NaN input it returns made-up eigenvalues
+        r = np.eye(4, dtype=complex)
+        r[1, 2] = r[2, 1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            decompose(SampleCovariance(matrix=r, n_snapshots=10))
 
 
 class TestMusicValue:
@@ -300,33 +308,3 @@ class TestFlopEstimate:
     def test_order_must_be_below_size(self):
         with pytest.raises(DomainError):
             flop_estimate(4, 4)
-
-
-class TestGridExport:
-    def grid(self):
-        cfg = baseline_radio()
-        plan = baseline_plan(cfg)
-        subs = decomposed_scene(cfg, plan, (Target(8.0, 0.1, 0.02 + 0j),), 10.0)
-        return coarse_grid(subs, steering_params(cfg, plan), cfg, plan)
-
-    def test_csv(self, tmp_path):
-        grid = self.grid()
-        path = tmp_path / "grid.csv"
-        grid.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "range_m,angle_rad,value"
-        assert len(rows) == 1 + grid.values.size
-        r, th, val = (float(x) for x in rows[1].split(","))
-        assert (r, th, val) == (grid.ranges_m[0], grid.angles_rad[0],
-                                grid.values[0, 0])
-
-    def test_binary_with_sidecar(self, tmp_path):
-        import json
-        grid = self.grid()
-        path = tmp_path / "grid.f64"
-        grid.to_binary(path)
-        block = np.fromfile(path, dtype="<f8")
-        meta = json.loads((tmp_path / "grid.f64.json").read_text())
-        assert meta["shape"] == list(grid.values.shape)
-        assert np.array_equal(block.reshape(grid.values.shape), grid.values)
-        assert meta["ranges_m"] == grid.ranges_m.tolist()

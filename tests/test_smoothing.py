@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ofdm_music import (ConfigError, CsiMatrix, SubarrayPlan, Target, TargetScene,
-                        covariance, decimated_steering, make_plan, sample_subarray,
-                        smooth, steering_params, subarray_indices, subarray_offsets,
+from ofdm_music import (ConfigError, CsiMatrix, Target, TargetScene, covariance,
+                        decimated_steering, make_plan, sample_subarray, smooth,
+                        steering_params, subarray_indices, subarray_offsets,
                         synthesize_csi)
 from ofdm_music.presets import baseline_plan, baseline_radio
 
@@ -44,25 +44,6 @@ class TestMakePlan:
         with pytest.raises(ConfigError, match="A_a"):
             make_plan(cfg, 16, 4, 1, 1)
 
-    def test_inconsistent_derived_rejected(self):
-        with pytest.raises(ConfigError, match="n_sub_f"):
-            SubarrayPlan(aperture_f=4, aperture_a=3, decim_f=3, decim_a=2,
-                         stride_f=1, stride_a=1, n_subcarriers=8, n_antennas=5,
-                         n_sub_f=99)
-
-    def test_text_round_trip(self):
-        cfg = small_radio(n=16, k=5)
-        plan = make_plan(cfg, 7, 5, 3, 2, 1, 1)
-        again = SubarrayPlan.from_text(plan.to_text(), cfg)
-        assert again == plan
-
-    def test_text_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown plan key"):
-            SubarrayPlan.from_text("A_f = 4\nbogus = 1\n", small_radio())
-
-    def test_text_missing_key_rejected(self):
-        with pytest.raises(ConfigError, match="missing"):
-            SubarrayPlan.from_text("A_f = 4\n", small_radio())
 
 
 class TestSubarrayIndices:
