@@ -3,10 +3,9 @@ information via decimated spatial smoothing and 2D MUSIC."""
 
 from .detection import (Detection, DetectionReport, DetectorConfig, GridConfig,
                         Routine, cancel_target, cfar_threshold, detect,
-                        powell_maximize, refine_candidates)
+                        refine_candidates)
 from .errors import (AlreadyCanceledError, ConfigError, CsiFormatError,
-                     DegenerateOrderError, DomainError, NumericalError,
-                     OfdmMusicError)
+                     DomainError, NumericalError, OfdmMusicError)
 from .harness import (ScenarioSpec, ScoringContext, SweepSummary, TrialResult,
                       assign_and_score, calibrate_kappa, generate_trial,
                       noise_variance_for_snr, run_sweep, run_trial, trimmed_rmse,

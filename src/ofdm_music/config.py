@@ -44,8 +44,6 @@ _DEFAULTS: dict[str, object] = {
     "max_iterations": 8,
     "merge_radius_r": 0.25,
     "merge_radius_theta": 0.25,
-    "powell_tol": 1e-8,
-    "powell_max_iter": 16,
     "theta_lim_deg": 60.0,
     # scenario
     "J": 500,
@@ -57,18 +55,17 @@ _DEFAULTS: dict[str, object] = {
     "angle_min_deg": -60.0,
     "angle_max_deg": 60.0,
     "min_angle_sep_deg": 0.0,
-    "base_range_max_m": None,   # None -> unambiguous range
+    "base_range_max_m": None,   # None -> r_max less the largest range difference
     "seed": 1,
     "first_target_only": False,
     # io
     "out_dir": "out",
-    "verbosity": 0,
 }
 
 _INT_KEYS = {"N", "K", "A_f", "A_a", "D_f", "D_a", "S_f", "S_a", "N_start",
-             "max_iterations", "powell_max_iter", "J", "seed", "verbosity"}
+             "max_iterations", "J", "seed"}
 _FLOAT_KEYS = {"f_c", "delta_f", "d", "c", "p_fa", "kappa", "merge_radius_r",
-               "merge_radius_theta", "powell_tol", "theta_lim_deg", "snr_db",
+               "merge_radius_theta", "theta_lim_deg", "snr_db",
                "range_diff_start", "range_diff_stop", "range_diff_step",
                "angle_min_deg", "angle_max_deg", "min_angle_sep_deg",
                "base_range_max_m"}
@@ -86,7 +83,6 @@ class RunConfig:
     theta_lim_rad: float
     first_target_only: bool
     out_dir: str
-    verbosity: int
     raw: dict
 
 
@@ -140,14 +136,22 @@ def build_run_config(values: dict) -> RunConfig:
         routine=Routine.from_string(values["routine"]),
         max_iterations=values["max_iterations"],
         merge_radius=(values["merge_radius_r"], values["merge_radius_theta"]),
-        powell_tol=values["powell_tol"], powell_max_iter=values["powell_max_iter"],
         kappa=values["kappa"])
-    base_max = values["base_range_max_m"] if values["base_range_max_m"] is not None \
-        else unambiguous_range(radio, plan)
     stop, step = values["range_diff_stop"], values["range_diff_step"]
     if step <= 0:
         raise ConfigError(f"range_diff_step must be positive, got {step}")
     diffs = tuple(np.arange(values["range_diff_start"], stop + step / 2.0, step))
+    # The far target sits max(diffs) beyond the base range; past r_max it
+    # aliases onto a near range and is scored against truth it cannot match.
+    r_max = unambiguous_range(radio, plan)
+    reach = 0.0 if values["free_placement"] else float(max(diffs, default=0.0))
+    base_max = values["base_range_max_m"]
+    if base_max is None:
+        base_max = r_max - reach
+    elif base_max + reach > r_max:
+        raise ConfigError(
+            f"base_range_max_m + max range difference = {base_max} + {reach} "
+            f"exceeds the unambiguous range {r_max} m")
     scenario = ScenarioSpec(
         n_trials=values["J"], snr_db=values["snr_db"], range_diffs_m=diffs,
         free_placement=values["free_placement"],
@@ -157,8 +161,7 @@ def build_run_config(values: dict) -> RunConfig:
     return RunConfig(radio=radio, plan=plan, detector=detector, scenario=scenario,
                      theta_lim_rad=math.radians(values["theta_lim_deg"]),
                      first_target_only=values["first_target_only"],
-                     out_dir=values["out_dir"], verbosity=values["verbosity"],
-                     raw=values)
+                     out_dir=values["out_dir"], raw=values)
 
 
 def load_run_config(path) -> RunConfig:

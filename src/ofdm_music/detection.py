@@ -1,7 +1,7 @@
 """Pseudospectrum peak search, CFAR gating and coherent target cancelation.
 
-Peaks are seeded from the strongest coarse-grid samples, refined with a
-bounded Powell direction search, deduplicated, and gated against an
+Peaks are seeded from the strongest coarse-grid samples, refined together by
+a safeguarded Newton ascent, deduplicated, and gated against an
 empirical-quantile CFAR threshold. Detected targets can be canceled by
 augmenting the noise basis with their orthogonalized steering vectors, so
 the spectrum can be re-estimated without a new eigendecomposition.
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import AlreadyCanceledError, ConfigError, DomainError
 from .music import (DEFAULT_THETA_LIM_RAD, SpectrumEvaluator, SpectrumGrid,
@@ -23,13 +22,12 @@ from .music import (DEFAULT_THETA_LIM_RAD, SpectrumEvaluator, SpectrumGrid,
 from .signal_model import RadioConfig
 from .smoothing import SubarrayPlan
 
-# Line searches stay within one direction length of the current point: seeds
-# are half-resolution grid maxima, so the peak to refine is never farther,
-# and a wider window lets the search tunnel to a neighboring stronger peak.
-# Repeated cycles (and the growing replacement directions) extend the reach.
-_LINE_SEARCH_SPAN = 1.0
-_LINE_SEARCH_XATOL = 1e-9
-_LINE_SEARCH_MAXITER = 64
+# Seeds are half-resolution grid maxima, so the peak to refine is about one
+# grid cell away; a step longer than a cell could tunnel to a neighboring
+# stronger peak. Twenty capped steps cover a few cells, and Newton steps
+# converge quadratically once inside a peak's convex basin.
+_ASCENT_STEPS = 20
+_MAX_STEP_CELLS = 1.0
 
 
 class Routine(enum.Enum):
@@ -66,17 +64,15 @@ class DetectorConfig:
     routine: Routine = Routine.MULTIPLE
     max_iterations: int = 8
     merge_radius: tuple[float, float] = (0.25, 0.25)   # fractions of (dr, dtheta)
-    powell_tol: float = 1e-8
-    powell_max_iter: int = 16
     kappa: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.p_fa < 1.0:
             raise ConfigError(f"p_fa must lie in (0, 1), got {self.p_fa}")
-        if self.n_start < 1 or self.max_iterations < 1 or self.powell_max_iter < 1:
-            raise ConfigError("n_start, max_iterations and powell_max_iter must be >= 1")
-        if self.powell_tol <= 0 or self.kappa <= 0:
-            raise ConfigError("powell_tol and kappa must be positive")
+        if self.n_start < 1 or self.max_iterations < 1:
+            raise ConfigError("n_start and max_iterations must be >= 1")
+        if self.kappa <= 0:
+            raise ConfigError("kappa must be positive")
 
     @property
     def n_seeds(self) -> int:
@@ -133,88 +129,6 @@ def cfar_threshold(grid: SpectrumGrid, p_fa: float, kappa: float = 1.0) -> float
     return float(np.quantile(grid.values, 1.0 - p_fa)) * kappa
 
 
-def _feasible_interval(x: np.ndarray, d: np.ndarray, lo: np.ndarray,
-                       hi: np.ndarray) -> tuple[float, float]:
-    """Step range [t_lo, t_hi] keeping x + t*d inside [lo, hi]."""
-    t_lo, t_hi = -_LINE_SEARCH_SPAN, _LINE_SEARCH_SPAN
-    for i in range(x.size):
-        if d[i] > 0:
-            t_lo = max(t_lo, (lo[i] - x[i]) / d[i])
-            t_hi = min(t_hi, (hi[i] - x[i]) / d[i])
-        elif d[i] < 0:
-            t_lo = max(t_lo, (hi[i] - x[i]) / d[i])
-            t_hi = min(t_hi, (lo[i] - x[i]) / d[i])
-    return t_lo, t_hi
-
-
-def _line_maximize(objective, x: np.ndarray, f: float, d: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Bounded scalar maximization along x + t*d; never returns a worse point."""
-    t_lo, t_hi = _feasible_interval(x, d, lo, hi)
-    if t_hi - t_lo < 1e-14:
-        return x, f
-    res = minimize_scalar(lambda t: -objective(*(x + t * d)),
-                          bounds=(t_lo, t_hi), method="bounded",
-                          options={"xatol": _LINE_SEARCH_XATOL,
-                                   "maxiter": _LINE_SEARCH_MAXITER})
-    if -res.fun > f:
-        return np.clip(x + res.x * d, lo, hi), float(-res.fun)
-    return x, f
-
-
-def powell_maximize(objective, start, bounds, steps, tol: float = 1e-8,
-                    max_iter: int = 16) -> tuple[float, float, float]:
-    """Maximize objective(r, theta) with Powell's conjugate-direction search.
-
-    Initial directions are the coordinate axes scaled by ``steps``; each line
-    search is a bounded golden-section/parabolic refinement kept inside
-    ``bounds``. A cycle sweeps every direction, then may replace the
-    direction of largest gain with the cycle displacement (Powell's update).
-    Terminates when the per-cycle improvement drops below
-    tol * (|value| + tol) or after ``max_iter`` cycles.
-
-    Returns (r, theta, value); the value is never below objective(start) and
-    the point stays within bounds. Axes with a zero step (degenerate
-    dimensions) are not searched.
-    """
-    lo = np.array([bounds[0][0], bounds[1][0]], dtype=float)
-    hi = np.array([bounds[0][1], bounds[1][1]], dtype=float)
-    x = np.clip(np.asarray(start, dtype=float), lo, hi)
-    f = float(objective(*x))
-    dirs = []
-    for axis, step in enumerate(steps):
-        if step > 0 and hi[axis] > lo[axis]:
-            d = np.zeros(2)
-            d[axis] = step
-            dirs.append(d)
-    if not dirs:
-        return float(x[0]), float(x[1]), f
-
-    for _ in range(max_iter):
-        x_begin, f_begin = x.copy(), f
-        biggest_gain, biggest_i = 0.0, 0
-        for i, d in enumerate(dirs):
-            x, f_new = _line_maximize(objective, x, f, d, lo, hi)
-            if f_new - f > biggest_gain:
-                biggest_gain, biggest_i = f_new - f, i
-            f = f_new
-        if f - f_begin <= tol * (abs(f) + tol):
-            break
-        # Powell's direction-replacement test on the extrapolated point.
-        ext = np.clip(2.0 * x - x_begin, lo, hi)
-        f_ext = float(objective(*ext))
-        if f_ext > f_begin:
-            gain = f - f_begin
-            t = 2.0 * (2.0 * f - f_begin - f_ext) * (gain - biggest_gain) ** 2 \
-                - biggest_gain * (f_ext - f_begin) ** 2
-            if t < 0:
-                d_new = x - x_begin
-                if np.linalg.norm(d_new) > 0:
-                    x, f = _line_maximize(objective, x, f, d_new, lo, hi)
-                    dirs[biggest_i] = d_new
-    return float(x[0]), float(x[1]), f
-
-
 def cancel_target(subspaces: Subspaces, params: SteeringParams,
                   det: Detection) -> Subspaces:
     """Augment the noise basis with the detected target's steering direction.
@@ -253,40 +167,86 @@ def _merge_peaks(peaks: list[tuple[float, float, float]], radius_r: float,
     return kept
 
 
+def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
+            lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Climb the pseudospectrum from each row of ``x``, a point (r, sin theta).
+
+    Minimizes the denominator in grid-cell units: a Newton step where its
+    2x2 Hessian is positive definite, a unit step down the gradient
+    elsewhere, capped at a per-point trust radius that halves on a rejected
+    step and doubles back up to one cell on an accepted one. A step is kept
+    only if it lowers the denominator, and is clipped to [lo, hi]; an axis
+    with lo == hi is not searched.
+    """
+    free = hi > lo
+    scale = np.outer(cell, cell) * np.outer(free, free)
+
+    def evaluate(x):
+        den, grad, hess = evaluator.denominator(x[:, 0], x[:, 1])
+        # A frozen axis gets a unit curvature and no slope: it never moves.
+        return den, grad * cell * free, hess * scale + np.diag(~free)
+
+    x = np.array(x, dtype=float)
+    den, grad, hess = evaluate(x)
+    radius = np.full(len(x), _MAX_STEP_CELLS)
+    for _ in range(_ASCENT_STEPS):
+        h00, h01, h11 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+        det = h00 * h11 - h01 * h01
+        convex = (h00 > 0) & (det > 0)
+        det = np.where(convex, det, 1.0)
+        newton = -np.stack([h11 * grad[:, 0] - h01 * grad[:, 1],
+                            h00 * grad[:, 1] - h01 * grad[:, 0]], axis=1) \
+            / det[:, np.newaxis]
+        slope = np.linalg.norm(grad, axis=1, keepdims=True)
+        descent = -grad / np.where(slope > 0, slope, 1.0)
+        step = np.where(convex[:, np.newaxis], newton, descent)
+        length = np.linalg.norm(step, axis=1)
+        shrink = np.minimum(1.0, radius / np.where(length > 0, length, 1.0))
+        trial = np.clip(x + step * shrink[:, np.newaxis] * cell, lo, hi)
+        den_t, grad_t, hess_t = evaluate(trial)
+        better = den_t < den
+        x[better], den[better] = trial[better], den_t[better]
+        grad[better], hess[better] = grad_t[better], hess_t[better]
+        radius = np.where(better, np.minimum(2.0 * radius, _MAX_STEP_CELLS),
+                          radius / 2.0)
+    return x
+
+
 def refine_candidates(subspaces: Subspaces, params: SteeringParams,
                       grid: SpectrumGrid, det_config: DetectorConfig,
                       theta_lim_rad: float, n_seeds: int
                       ) -> list[tuple[float, float, float]]:
-    """Powell-refine the ``n_seeds`` strongest grid points; merged, unsorted.
+    """Refine the ``n_seeds`` strongest grid points together; merged, unsorted.
 
-    Refined points pinned against a search-domain edge are dropped: they are
-    boundary maxima, not spectrum peaks. In particular the aliased skirt of a
-    near-zero-range target wraps in just below the unambiguous range and
-    would otherwise masquerade as a detection there.
+    The ascent runs in (r, sin theta), where the steering phase is linear;
+    a grid cell there is the range step by the angle step, half a resolution
+    cell in each. Refined points pinned against a search-domain edge are
+    dropped: they are boundary maxima, not spectrum peaks. In particular the
+    aliased skirt of a near-zero-range target wraps in just below the
+    unambiguous range and would otherwise masquerade as a detection there.
     """
     evaluator = SpectrumEvaluator(subspaces, params)
     flat = grid.values.ravel()
     order = np.argsort(-flat, kind="stable")[:min(n_seeds, flat.size)]
     n_angles = grid.angles_rad.size
+    rows, cols = np.divmod(order, n_angles)
+    seeds = np.column_stack([grid.ranges_m[rows], np.sin(grid.angles_rad[cols])])
     r_hi = params.r_max_m * (1.0 - 1e-12)
     if n_angles > 1:
-        bounds = ((0.0, r_hi), (-theta_lim_rad, theta_lim_rad))
+        s_lim = math.sin(theta_lim_rad)
+        lo, hi = np.array([0.0, -s_lim]), np.array([r_hi, s_lim])
+        cell = np.array([grid.range_step(), grid.angle_step()])
     else:
-        bounds = ((0.0, r_hi), (grid.angles_rad[0], grid.angles_rad[0]))
-    steps = (grid.range_step(), grid.angle_step())
+        s0 = seeds[0, 1]
+        lo, hi = np.array([0.0, s0]), np.array([r_hi, s0])
+        cell = np.array([grid.range_step(), 1.0])
+    refined = _ascend(evaluator, seeds, cell, lo, hi)
+    margin = np.minimum(refined - lo, hi - refined) / cell
+    pinned = np.any((margin < 1e-6) & (hi > lo), axis=1)
     peaks = []
-    for idx in order:
-        i, j = divmod(int(idx), n_angles)
-        seed = (float(grid.ranges_m[i]), float(grid.angles_rad[j]))
-        r, th, val = powell_maximize(evaluator.value, seed, bounds, steps,
-                                     det_config.powell_tol,
-                                     det_config.powell_max_iter)
-        pinned = False
-        for coord, (lo, hi), step in zip((r, th), bounds, steps):
-            if step > 0 and hi > lo:
-                pinned |= min(coord - lo, hi - coord) < 1e-6 * step
-        if not pinned:
-            peaks.append((r, th, val))
+    for r, s in refined[~pinned]:
+        th = math.asin(s)
+        peaks.append((float(r), th, evaluator.value(r, th)))
     radius_r = det_config.merge_radius[0] * 2.0 * grid.range_step()
     radius_theta = det_config.merge_radius[1] * 2.0 * grid.angle_step() \
         if n_angles > 1 else math.inf

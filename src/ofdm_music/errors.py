@@ -25,9 +25,5 @@ class NumericalError(OfdmMusicError):
     """Numerical failure (e.g. eigensolver non-convergence)."""
 
 
-class DegenerateOrderError(NumericalError):
-    """Model-order selection left no noise subspace."""
-
-
 class AlreadyCanceledError(OfdmMusicError):
     """Steering vector already lies in the noise span; duplicate detection."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateOrderError, DomainError, NumericalError
+from .errors import ConfigError, DomainError, NumericalError
 from .signal_model import RadioConfig
 from .smoothing import SampleCovariance, SubarrayPlan
 
@@ -124,9 +124,6 @@ def decompose(cov: SampleCovariance) -> Subspaces:
     w = w[::-1].copy()
     u = u[:, ::-1].copy()
     q = mdl_order(w, cov.n_snapshots)
-    if q >= w.size:
-        raise DegenerateOrderError(
-            f"model order {q} leaves no noise subspace (M={w.size})")
     return Subspaces(noise_basis=u[:, q:], signal_basis=u[:, :q],
                      eigenvalues=w, order_estimate=q)
 
@@ -175,6 +172,8 @@ class SpectrumEvaluator:
     Precomputes the conjugated noise basis and the per-element phase ramps so
     a point evaluation costs one complex exponential and one matvec. Produces
     values identical to ``music_value`` on ``decimated_steering`` vectors.
+    The steering phase is linear in (r, sin theta), which gives the
+    denominator a closed-form gradient and Hessian in those coordinates.
     """
 
     def __init__(self, subspaces: Subspaces, params: SteeringParams):
@@ -185,6 +184,9 @@ class SpectrumEvaluator:
         j = np.tile(np.arange(params.n_sub_a), params.n_sub_f)
         self._ramp_r = params.phi_f * (2.0 / params.speed_of_light_m_s) * i
         self._ramp_theta = params.phi_a * j
+        a, b = self._ramp_r, self._ramp_theta
+        # v scaled by the ramp products that its derivatives bring down.
+        self._moments = np.stack([np.ones_like(a), a, b, a * a, a * b, b * b])
 
     def value(self, r: float, theta: float) -> float:
         v = np.exp(1j * (r * self._ramp_r + math.sin(theta) * self._ramp_theta))
@@ -207,6 +209,24 @@ class SpectrumEvaluator:
                             np.minimum(1.0 / np.maximum(den, 1e-300),
                                        MUSIC_VALUE_CLAMP))
         return vals.reshape(ranges_m.size, angles_rad.size)
+
+    def denominator(self, ranges_m: np.ndarray, sines: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """||U_N^H v||^2 at points (r, sin theta), with gradient and Hessian.
+
+        Every derivative of v = exp(j(r*a + s*b)) is v times a product of the
+        phase ramps a, b, so one matmul projects them all. Returns arrays of
+        shapes (n,), (n, 2) and (n, 2, 2), in (r, sin theta) coordinates.
+        """
+        v = np.exp(1j * (np.outer(ranges_m, self._ramp_r)
+                         + np.outer(sines, self._ramp_theta)))
+        q = (v[:, np.newaxis, :] * self._moments) @ self._noise_h.T
+        # The factors j and j^2 that differentiation brings down fold into the
+        # signs: D_x = -2 Im(q_0^H q_x), D_xy = 2 Re(q_x^H q_y - q_0^H q_xy).
+        cross = np.einsum("nk,nmk->nm", q[:, 0].conj(), q)
+        gram = np.einsum("nik,njk->nij", q[:, 1:3].conj(), q[:, 1:3]).real
+        curvature = cross[:, [3, 4, 4, 5]].real.reshape(-1, 2, 2)
+        return cross[:, 0].real, -2.0 * cross[:, 1:3].imag, 2.0 * (gram - curvature)
 
 
 def range_resolution(config: RadioConfig, plan: SubarrayPlan) -> float:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import ofdm_music
 from ofdm_music import TargetScene, Target, noise_variance_for_snr, synthesize_csi
 from ofdm_music.cli import main
 from ofdm_music.config import (bundled_config_text, build_run_config,
@@ -48,6 +52,26 @@ class TestConfigParsing:
         assert cfg.scenario.range_diffs_m[0] == 0.0
         assert cfg.scenario.range_diffs_m[-1] == pytest.approx(2.5)
         assert cfg.scenario.n_trials == 500
+
+    def test_default_base_range_leaves_room_for_the_largest_difference(self):
+        cfg = build_run_config(parse_config_text(""))
+        assert max(cfg.scenario.range_diffs_m) == pytest.approx(2.5)
+        assert cfg.scenario.base_range_max_m == pytest.approx(22.5)
+
+    def test_free_placement_base_range_defaults_to_r_max(self):
+        cfg = build_run_config(parse_config_text("free_placement = true\n"))
+        assert cfg.scenario.base_range_max_m == 25.0
+
+    def test_aliasing_base_range_rejected(self):
+        with pytest.raises(ConfigError, match=r"25\.0 \+ 2\.5"):
+            build_run_config(parse_config_text("base_range_max_m = 25\n"))
+        cfg = build_run_config(parse_config_text("base_range_max_m = 22.5\n"))
+        assert cfg.scenario.base_range_max_m == 22.5
+
+    @pytest.mark.parametrize("key", ["powell_tol", "powell_max_iter", "verbosity"])
+    def test_removed_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config_text("%s = 1\n" % key)
 
     def test_bundled_toy_geometry_geometry(self):
         cfg = build_run_config(parse_config_text(bundled_config_text(
@@ -203,6 +227,12 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path)]) == 2
         assert "min_angle_sep_deg" in capsys.readouterr().err
 
+    def test_aliasing_base_range_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "alias.cfg"
+        path.write_text("base_range_max_m = 25\n")
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "unambiguous range" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -222,3 +252,13 @@ class TestCalibrateCommand:
         main(["calibrate", "--config", str(baseline_cfg), "--trials", "20",
               "--threads", "2"])
         assert (tmp_path / "out" / "kappa.json").read_text() == first
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, ofdm_music.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(ofdm_music.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from ofdm_music import (AlreadyCanceledError, ConfigError, Detection,
-                        DetectorConfig, GridConfig, Routine, SpectrumEvaluator,
-                        SpectrumGrid, Subspaces, Target, TargetScene,
-                        cancel_target, cfar_threshold, covariance,
-                        decimated_steering, decompose, detect, music_value,
-                        noise_variance_for_snr, powell_maximize, smooth,
-                        steering_params, synthesize_csi)
-from ofdm_music.presets import baseline_plan, baseline_radio
+from ofdm_music import (DEFAULT_THETA_LIM_RAD, AlreadyCanceledError,
+                        ConfigError, Detection, DetectorConfig, GridConfig,
+                        Routine, SpectrumEvaluator, SpectrumGrid, Subspaces,
+                        Target, TargetScene, cancel_target, cfar_threshold,
+                        coarse_grid, covariance, decimated_steering, decompose,
+                        detect, music_value, noise_variance_for_snr,
+                        refine_candidates, smooth, steering_params,
+                        synthesize_csi)
+from ofdm_music.detection import _ascend
+from ofdm_music.presets import baseline_plan, baseline_radio, range_only_plan
 
 
 def pipeline(targets, snr_db, noise_seed=0, plan=None, radio=None):
@@ -49,49 +51,145 @@ class TestCfarThreshold:
             cfar_threshold(self.constant_grid(), 1.5)
 
 
-class TestPowellMaximize:
-    def test_quadratic_converges(self):
-        r0, th0 = 3.7, -1.2
-        f = lambda r, th: -((r - r0) ** 2 + (th - th0) ** 2)
-        r, th, v = powell_maximize(f, (9.0, 4.0), ((-10, 10), (-5, 5)),
-                                   (0.5, 0.5), tol=1e-14, max_iter=60)
-        assert abs(r - r0) < 1e-6 and abs(th - th0) < 1e-6
+def random_scene(seed, plan=None):
+    """A seeded scene of 1-3 targets at 10-30 dB, decomposed, with its grid."""
+    rng = np.random.default_rng(seed)
+    targets = tuple(
+        Target(float(r), float(th),
+               complex(np.exp(2j * np.pi * rng.uniform()) / r ** 2))
+        for r, th in zip(rng.uniform(1.0, 24.0, rng.integers(1, 4)),
+                         np.radians(rng.uniform(-60.0, 60.0, 3))))
+    radio, plan, params, subs = pipeline(targets, float(rng.uniform(10, 30)),
+                                         noise_seed=seed, plan=plan)
+    return params, subs, coarse_grid(subs, params, radio, plan)
 
-    def test_separable_multimodal(self):
-        f = lambda r, th: math.cos(r) * math.cos(th)
-        r, th, v = powell_maximize(f, (0.4, -0.3), ((-4, 4), (-4, 4)),
-                                   (0.5, 0.5), tol=1e-14, max_iter=60)
-        assert abs(r) < 1e-5 and abs(th) < 1e-5
-        assert v == pytest.approx(1.0, abs=1e-9)
+
+def one_hot(grid, i, j):
+    """The grid with its values replaced so that (i, j) is the only seed."""
+    values = np.zeros_like(grid.values)
+    values[i, j] = 1.0
+    return SpectrumGrid(grid.ranges_m, grid.angles_rad, values)
+
+
+class Quadratic:
+    """Denominator 1 + (r - 3.7)^2 + 4 (s + 0.2)^2 and its derivatives."""
+
+    def denominator(self, r, s):
+        den = 1.0 + (r - 3.7) ** 2 + 4.0 * (s + 0.2) ** 2
+        grad = np.stack([2.0 * (r - 3.7), 8.0 * (s + 0.2)], axis=1)
+        return den, grad, np.broadcast_to(np.diag([2.0, 8.0]), (len(r), 2, 2))
+
+
+class Cosines:
+    """Denominator 2 - cos(r) cos(s): minima on a lattice, saddles between."""
+
+    def denominator(self, r, s):
+        cr, cs, sr, ss = np.cos(r), np.cos(s), np.sin(r), np.sin(s)
+        hess = np.stack([np.stack([cr * cs, -sr * ss], axis=1),
+                         np.stack([-sr * ss, cr * cs], axis=1)], axis=1)
+        return 2.0 - cr * cs, np.stack([sr * cs, cr * ss], axis=1), hess
+
+
+class BumpedParabola:
+    """Denominator r^2 / 1000 plus a narrow bump at r = 14; s plays no part."""
+
+    def denominator(self, r, s):
+        bump = np.exp(-(r - 14.0) ** 2 / 0.005)
+        grad = np.stack([2e-3 * r - 400.0 * (r - 14.0) * bump, 0.0 * s], axis=1)
+        hess = np.zeros((len(r), 2, 2))
+        hess[:, 0, 0] = 2e-3 + bump * (1.6e5 * (r - 14.0) ** 2 - 400.0)
+        return r ** 2 / 1000.0 + bump, grad, hess
+
+
+class TestRefineCandidates:
+    LIM = DEFAULT_THETA_LIM_RAD
 
     @pytest.mark.parametrize("seed", range(20))
     def test_never_below_seed_and_in_bounds(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c, d = rng.normal(size=4)
-        f = lambda r, th: math.sin(a * r + b) * math.cos(c * th + d) + 0.05 * r
-        start = (rng.uniform(0, 5), rng.uniform(-2, 2))
-        r, th, v = powell_maximize(f, start, ((0, 5), (-2, 2)), (0.3, 0.3),
-                                   1e-9, 12)
-        assert v >= f(*start) - 1e-12
-        assert 0 <= r <= 5 and -2 <= th <= 2
+        params, subs, grid = random_scene(seed)
+        order = np.argsort(-grid.values.ravel(), kind="stable")[:10]
+        for idx in order:
+            i, j = divmod(int(idx), grid.angles_rad.size)
+            peaks = refine_candidates(subs, params, one_hot(grid, i, j),
+                                      DetectorConfig(), self.LIM, 1)
+            for r, th, v in peaks:
+                assert v >= grid.values[i, j] * (1 - 1e-12)
+                assert 0.0 <= r < params.r_max_m
+                assert -self.LIM <= th <= self.LIM
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_values_are_point_evaluations(self, seed):
+        params, subs, grid = random_scene(seed)
+        peaks = refine_candidates(subs, params, grid, DetectorConfig(), self.LIM,
+                                  10)
+        assert peaks
+        ev = SpectrumEvaluator(subs, params)
+        for r, th, v in peaks:
+            assert v == ev.value(r, th)
 
     def test_degenerate_axis_not_searched(self):
-        f = lambda r, th: -(r - 2.0) ** 2 - abs(th)
-        r, th, v = powell_maximize(f, (0.5, 0.0), ((0, 5), (0.0, 0.0)),
-                                   (0.5, 0.0), 1e-12, 40)
-        assert abs(r - 2.0) < 1e-6
-        assert th == 0.0
+        for seed in range(5):
+            params, subs, grid = random_scene(seed, plan=range_only_plan(
+                baseline_radio()))
+            assert grid.angles_rad.size == 1
+            peaks = refine_candidates(subs, params, grid, DetectorConfig(),
+                                      self.LIM, 10)
+            assert peaks
+            for r, th, v in peaks:
+                assert th == grid.angles_rad[0]
 
     def test_refines_music_peak(self):
         radio, plan, params, subs = pipeline(
             (Target(9.0, math.radians(15), 0.01 + 0j),), 120.0)
-        ev = SpectrumEvaluator(subs, params)
-        seed = (8.5, math.radians(26))   # half a cell off in both dims
-        r, th, v = powell_maximize(ev.value, seed,
-                                   ((0.0, 24.99), (-math.pi / 3, math.pi / 3)),
-                                   (0.89, 0.5), 1e-10, 16)
+        # Seed at (8.5 m, 26 deg): about half a cell off in both dimensions.
+        grid = SpectrumGrid(np.array([8.5, 9.39]),
+                            np.radians([26.0, 54.6]), np.eye(2))
+        (r, th, v), = refine_candidates(subs, params, grid, DetectorConfig(),
+                                        self.LIM, 1)
         assert abs(r - 9.0) < 1e-3
         assert abs(th - math.radians(15)) < 1e-3
+
+    def test_quadratic_converges(self):
+        # About twelve cells from the minimum: capped steps, then exact Newton.
+        x = _ascend(Quadratic(), np.array([[9.0, 0.4]]), np.array([0.5, 0.1]),
+                    np.array([-10.0, -1.0]), np.array([10.0, 1.0]))
+        assert x[0] == pytest.approx([3.7, -0.2], abs=1e-9)
+
+    def test_trust_radius_regrows_after_a_rejected_step(self):
+        # The first capped step lands on the bump and is rejected; the
+        # remaining 14.5 cells fit in the step budget only at full radius.
+        x = _ascend(BumpedParabola(), np.array([[15.0, 0.0]]), np.ones(2),
+                    np.array([-20.0, 0.0]), np.array([20.0, 0.0]))
+        assert x[0] == pytest.approx([0.0, 0.0], abs=1e-9)
+
+    def test_separable_multimodal(self):
+        # The start is where the Hessian is indefinite: gradient steps first.
+        start = np.array([[1.2, -1.0]])
+        assert np.linalg.eigvalsh(Cosines().denominator(*start.T)[2])[0, 0] < 0
+        x = _ascend(Cosines(), start, np.array([0.5, 0.5]),
+                    np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
+        assert x[0] == pytest.approx([0.0, 0.0], abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_derivatives_match_finite_differences(self, seed):
+        params, subs, _ = random_scene(seed)
+        ev = SpectrumEvaluator(subs, params)
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(1.0, 24.0, 8)
+        s = rng.uniform(-0.8, 0.8, 8)
+        den, grad, hess = ev.denominator(r, s)
+        ref = np.array([1.0 / ev.value(ri, math.asin(si)) for ri, si in zip(r, s)])
+        assert den == pytest.approx(ref, rel=1e-10)
+        h = 1e-5
+        for axis in range(2):
+            dx = h * np.eye(2)[axis]
+            d_hi, g_hi, _ = ev.denominator(r + dx[0], s + dx[1])
+            d_lo, g_lo, _ = ev.denominator(r - dx[0], s - dx[1])
+            scale = np.abs(hess).max()
+            assert np.allclose(grad[:, axis], (d_hi - d_lo) / (2 * h),
+                               rtol=1e-6, atol=1e-6 * np.abs(grad).max())
+            assert np.allclose(hess[:, :, axis], (g_hi - g_lo) / (2 * h),
+                               rtol=1e-5, atol=1e-6 * scale)
 
 
 class TestCancelTarget:
