@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import (Detection, DetectionReport, DetectorConfig, GridConfig,
-                        cancel_target, cfar_threshold, detect, refine_candidates)
+                        cancel_target, cfar_threshold, detect,
+                        empirical_quantile, refine_candidates)
 from .errors import AlreadyCanceledError, ConfigError, DomainError
 from .music import (DEFAULT_THETA_LIM_RAD, Subspaces, SteeringParams,
                     coarse_grid, decompose, steering_params)
@@ -383,7 +384,7 @@ def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
                           rng_seed=rng_seed)
     with _trial_map(n_workers) as map_trials:
         pivots = map_trials(_calibration_pivot, job, n_trials)
-    return max(1.0, float(np.quantile(pivots, 1.0 - det_config.p_fa)))
+    return max(1.0, empirical_quantile(pivots, 1.0 - det_config.p_fa))
 
 
 def write_sweep_outputs(summary: SweepSummary, out_dir, metadata: dict) -> tuple:

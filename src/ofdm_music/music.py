@@ -98,14 +98,15 @@ def mdl_order(eigenvalues: np.ndarray, n_snapshots: int) -> int:
         return 0
     # Floor keeps logs finite on rank-deficient covariances.
     lam = np.maximum(lam, lam_max * 1e-200)
-    log_lam = np.log(lam)
-    scores = np.empty(m)
-    for k in range(m):
-        tail = lam[k:]
-        log_geo = float(np.mean(log_lam[k:]))
-        log_arith = math.log(float(np.mean(tail)))
-        scores[k] = n_snapshots * (m - k) * (log_arith - log_geo) \
-            + 0.5 * k * (2 * m - k) * math.log(n_snapshots)
+    # Sums over the tails lam[k:] for every k at once, smallest terms first.
+    k = np.arange(m)
+    tail_size = m - k
+    tail_sum = np.cumsum(lam[::-1])[::-1]
+    tail_log_sum = np.cumsum(np.log(lam[::-1]))[::-1]
+    log_arith = np.log(tail_sum / tail_size)
+    log_geo = tail_log_sum / tail_size
+    scores = n_snapshots * tail_size * (log_arith - log_geo) \
+        + 0.5 * k * (2 * m - k) * math.log(n_snapshots)
     return int(np.argmin(scores))
 
 

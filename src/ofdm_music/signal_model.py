@@ -168,10 +168,11 @@ def synthesize_csi(config: RadioConfig, scene: TargetScene, rng_seed: int) -> Cs
         c += tgt.coeff * np.outer(steering_angle(config, tgt.azimuth_rad),
                                   steering_range(config, tgt.range_m))
     if scene.noise_variance > 0:
-        rng = np.random.default_rng(rng_seed)
-        sigma = math.sqrt(scene.noise_variance / 2.0)
-        c += rng.normal(scale=sigma, size=c.shape) \
-            + 1j * rng.normal(scale=sigma, size=c.shape)
+        # All real parts are drawn before all imaginary parts.
+        noise = np.random.default_rng(rng_seed).standard_normal((2, *c.shape))
+        noise *= math.sqrt(scene.noise_variance / 2.0)
+        c.real += noise[0]
+        c.imag += noise[1]
     return CsiMatrix(data=c, config=config)
 
 

@@ -154,14 +154,16 @@ def sample_subarray(csi: CsiMatrix, plan: SubarrayPlan, ell: int) -> np.ndarray:
 def smooth(csi: CsiMatrix, plan: SubarrayPlan) -> SmoothedCsi:
     """Stack all L sampled sub-array vectors as columns of an M x L matrix."""
     _check_dims(csi, plan)
+    n = plan.n_subcarriers
+    # Row-major flat index into the K x N CSI: (antenna, subcarrier) -> a*N + f.
     ells = np.arange(plan.n_subarrays)
-    a_offs = (ells % plan.n_sets_a) * plan.stride_a
-    f_offs = (ells // plan.n_sets_a) * plan.stride_f
-    ant_run = np.tile(np.arange(plan.n_sub_a) * plan.decim_a, plan.n_sub_f)
-    sub_run = np.repeat(np.arange(plan.n_sub_f) * plan.decim_f, plan.n_sub_a)
-    ant = a_offs[:, np.newaxis] + ant_run[np.newaxis, :]   # (L, M)
-    sub = f_offs[:, np.newaxis] + sub_run[np.newaxis, :]
-    return SmoothedCsi(data=csi.data[ant, sub].T.copy(), plan=plan)
+    offsets = (ells % plan.n_sets_a) * (plan.stride_a * n) \
+        + (ells // plan.n_sets_a) * plan.stride_f
+    ant_run = np.arange(plan.n_sub_a) * (plan.decim_a * n)
+    sub_run = np.arange(plan.n_sub_f) * plan.decim_f
+    element = (sub_run[:, np.newaxis] + ant_run[np.newaxis, :]).ravel()
+    flat = element[:, np.newaxis] + offsets[np.newaxis, :]   # (M, L)
+    return SmoothedCsi(data=np.take(csi.data, flat), plan=plan)
 
 
 def covariance(smoothed: SmoothedCsi) -> SampleCovariance:

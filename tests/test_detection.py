@@ -12,7 +12,7 @@ from ofdm_music import (DEFAULT_THETA_LIM_RAD, AlreadyCanceledError,
                         detect, music_value, noise_variance_for_snr,
                         refine_candidates, smooth, steering_params,
                         synthesize_csi)
-from ofdm_music.detection import _ascend
+from ofdm_music.detection import _ascend, empirical_quantile
 from ofdm_music.presets import baseline_plan, baseline_radio, range_only_plan
 
 
@@ -44,6 +44,21 @@ class TestCfarThreshold:
                             values=vals)
         assert cfar_threshold(grid, 0.1) == pytest.approx(
             np.quantile(vals, 0.9))
+
+    def test_empirical_quantile_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        sizes = (1, 2, 3, 145, 1000)
+        for i in range(1200):
+            n = sizes[i % len(sizes)] if i % 2 else int(rng.integers(1, 400))
+            if i % 3 == 0:   # ties: a few distinct values, repeated
+                vals = rng.choice(rng.exponential(size=3), size=n)
+            else:
+                vals = rng.exponential(scale=10.0 ** rng.uniform(-5, 5), size=n)
+            for q in (0.5, 0.9, 0.99, 0.999, float(rng.uniform())):
+                got = empirical_quantile(vals, q)
+                assert got.hex() == float(np.quantile(vals, q)).hex(), (vals, q)
+        grid = rng.exponential(size=(29, 5))
+        assert empirical_quantile(grid, 0.99) == float(np.quantile(grid, 0.99))
 
     def test_p_fa_domain(self):
         from ofdm_music import DomainError

@@ -67,7 +67,64 @@ class TestDecimatedSteering:
             decimated_steering(p, 1.0, 2.0)
 
 
+def mdl_order_loop(eigenvalues, n_snapshots):
+    """Reference: the MDL score of each order k computed one k at a time."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    m = lam.size
+    lam_max = lam[0]
+    if lam_max <= 0:
+        return 0
+    lam = np.maximum(lam, lam_max * 1e-200)
+    log_lam = np.log(lam)
+    scores = np.empty(m)
+    for k in range(m):
+        log_geo = float(np.mean(log_lam[k:]))
+        log_arith = math.log(float(np.mean(lam[k:])))
+        scores[k] = n_snapshots * (m - k) * (log_arith - log_geo) \
+            + 0.5 * k * (2 * m - k) * math.log(n_snapshots)
+    return int(np.argmin(scores))
+
+
+def random_spectrum(rng, kind):
+    """Descending eigenvalues of one of several shapes MDL must handle."""
+    m = int(rng.integers(1, 61))
+    if kind == "white":
+        lam = rng.exponential(size=m)
+    elif kind == "signal":
+        q = int(rng.integers(0, m + 1))
+        lam = rng.chisquare(2 * int(rng.integers(5, 400)), size=m)
+        lam[:q] *= 10.0 ** rng.uniform(0.0, 4.0, size=q)
+    elif kind == "decades":
+        lam = 10.0 ** rng.uniform(-300.0, 300.0, size=m)
+    elif kind == "rank_deficient":
+        q = int(rng.integers(1, m + 1))
+        lam = np.concatenate([rng.exponential(size=q) + 1.0,
+                              rng.normal(scale=1e-17, size=m - q)])
+    elif kind == "equal":
+        lam = np.full(m, 10.0 ** rng.uniform(-50.0, 50.0))
+    else:   # below the 1e-200 floor
+        q = int(rng.integers(1, m + 1))
+        lam = np.concatenate([rng.exponential(size=q) + 1.0,
+                              10.0 ** rng.uniform(-320.0, -201.0, size=m - q)])
+    return np.sort(lam)[::-1]
+
+
 class TestMdl:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(11)
+        kinds = ("white", "signal", "decades", "rank_deficient", "equal", "floor")
+        orders = set()
+        for i in range(2400):
+            lam = random_spectrum(rng, kinds[i % len(kinds)])
+            n_snapshots = int(rng.integers(1, 1000))
+            expected = mdl_order_loop(lam, n_snapshots)
+            assert mdl_order(lam, n_snapshots) == expected, (lam, n_snapshots)
+            orders.add(expected)
+        assert len(orders) > 20   # the spectra exercise many orders, not just 0
+        for lam in (np.zeros(45), np.zeros(1), np.ones(1), np.full(1, -2.0),
+                    np.array([-1e-18, -1e-17])):
+            assert mdl_order(lam, 200) == mdl_order_loop(lam, 200) == 0
+
     def test_white_covariance_order_zero(self):
         cov = SampleCovariance(matrix=0.3 * np.eye(12, dtype=complex),
                                n_snapshots=50)

@@ -146,6 +146,26 @@ class TestSynthesize:
         assert np.var(z.real) == pytest.approx(0.125, rel=0.15)
         assert np.var(z.imag) == pytest.approx(0.125, rel=0.15)
 
+    @pytest.mark.parametrize("n_targets", [0, 2])
+    def test_noise_matches_two_draw_formula(self, n_targets):
+        cfg = small_radio(n=96, k=4)
+        targets = (Target(4.0, -0.3, 0.2 + 0.1j), Target(11.0, 0.5, -0.05j))
+        scene = TargetScene(targets[:n_targets], 0.37)
+        for seed in range(20):
+            # Oracle: a real-part draw, then an imaginary-part draw, each at
+            # sigma = sqrt(variance / 2).
+            c = np.zeros((4, 96), dtype=complex)
+            for tgt in scene.targets:
+                c += tgt.coeff * np.outer(steering_angle(cfg, tgt.azimuth_rad),
+                                          steering_range(cfg, tgt.range_m))
+            rng = np.random.default_rng(seed)
+            sigma = math.sqrt(scene.noise_variance / 2.0)
+            c += rng.normal(scale=sigma, size=c.shape) \
+                + 1j * rng.normal(scale=sigma, size=c.shape)
+            data = synthesize_csi(cfg, scene, seed).data
+            assert data.dtype == c.dtype and data.shape == c.shape
+            assert data.tobytes() == c.tobytes()
+
 
 class TestCsiFromSymbols:
     def test_all_ones_identity(self):

@@ -158,6 +158,23 @@ class TestSmooth:
             assert np.array_equal(sm.data[:, ell], sample_subarray(csi, plan,
                                                                    int(ell)))
 
+    def test_alternating_plans_return_independent_arrays(self):
+        cfg = small_radio(n=48, k=4)
+        plans = (make_plan(cfg, 21, 3, 5, 1, 2, 1), make_plan(cfg, 9, 2, 2, 1, 3, 2))
+        rng = np.random.default_rng(6)
+        csi = CsiMatrix(rng.normal(size=(4, 48)) + 1j * rng.normal(size=(4, 48)),
+                        cfg)
+        before = csi.data.copy()
+        for i in range(6):
+            plan = plans[i % 2]
+            sm = smooth(csi, plan)
+            assert sm.data.flags.c_contiguous and sm.data.flags.owndata
+            for ell in range(plan.n_subarrays):
+                assert np.array_equal(sm.data[:, ell],
+                                      sample_subarray(csi, plan, ell))
+            sm.data[...] = np.nan   # must not reach the CSI or a later result
+        assert np.array_equal(csi.data, before)
+
 
 class TestCovariance:
     def test_single_column_outer_product(self):
