@@ -152,7 +152,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args.config)
         cfg = _apply_overrides(cfg, args)
-        n_workers = max(1, args.threads if args.threads else (os.cpu_count() or 1))
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        n_workers = args.threads or os.cpu_count() or 1
         if args.command == "estimate":
             return cmd_estimate(cfg, args.csi, args.out)
         if args.command == "sweep":

@@ -91,6 +91,14 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class DetectionReport:
+    """What :func:`detect` found and what it cost.
+
+    ``threshold_used`` is the CFAR threshold of the last spectrum searched,
+    ``spectra_computed`` the number of spectra searched, and ``saturated``
+    says that a survivor above that threshold could not be canceled because
+    earlier cancelations of the same iteration had completed the noise basis.
+    """
+
     detections: tuple[Detection, ...]
     threshold_used: float
     routine: Routine
@@ -274,6 +282,11 @@ def refine_candidates(subspaces: Subspaces, params: SteeringParams,
     return _merge_peaks(peaks, radius_r, radius_theta)
 
 
+def _noise_spans_space(subspaces: Subspaces) -> bool:
+    """True once the noise basis spans C^M: the spectrum is then exactly flat."""
+    return subspaces.noise_basis.shape[1] >= subspaces.noise_basis.shape[0]
+
+
 def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig,
            det_config: DetectorConfig) -> DetectionReport:
     """Run the configured peak selection routine and return all detections.
@@ -283,6 +296,13 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
     threshold sequence is non-increasing and the final (reported) value
     bounds every detection. Re-deriving it keeps the gate tied to the
     remaining spectrum floor instead of the already-canceled peaks.
+
+    A complete noise basis leaves no signal directions, so its spectrum is
+    exactly flat and admits no peaks. Detection therefore returns at once on
+    an order-zero estimate, and the iteration loop ends as soon as
+    cancelations have completed the basis, without gridding or searching the
+    flat spectrum. A survivor met after that point in the same iteration
+    cannot be canceled and marks the report ``saturated``.
     """
     radio, plan = grid_config.radio, grid_config.plan
     theta_lim = grid_config.theta_lim_rad
@@ -290,9 +310,7 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
     gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
     spectra = 1
 
-    # A complete noise basis (estimated order zero) leaves no signal
-    # directions: the spectrum is exactly flat and admits no peaks.
-    if subspaces.noise_basis.shape[1] >= subspaces.noise_basis.shape[0]:
+    if _noise_spans_space(subspaces):
         return DetectionReport(detections=(), threshold_used=gamma,
                                routine=det_config.routine, spectra_computed=spectra)
 
@@ -303,7 +321,6 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
         return DetectionReport(detections=tuple(dets), threshold_used=gamma,
                                routine=det_config.routine, spectra_computed=spectra)
 
-    m_total = subspaces.noise_basis.shape[0]
     current = subspaces
     detections: list[Detection] = []
     saturated = False
@@ -319,7 +336,7 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
             break
         appended = 0
         for r, th, val in sorted(survivors, key=lambda p: -p[2]):
-            if current.noise_basis.shape[1] >= m_total:
+            if _noise_spans_space(current):
                 saturated = True
                 break
             det = Detection(r, th, val, iteration)
@@ -329,7 +346,7 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
                 continue   # converged onto an already-canceled peak; drop it
             detections.append(det)
             appended += 1
-        if saturated or appended == 0:
+        if saturated or appended == 0 or _noise_spans_space(current):
             break
     return DetectionReport(detections=tuple(detections), threshold_used=gamma,
                            routine=det_config.routine, spectra_computed=spectra,

@@ -379,6 +379,8 @@ def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
     probability that a noise-only trial produces any peak above
     kappa * quantile approximates p_fa. Deterministic for a given seed.
     """
+    if n_trials < 1:
+        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     job = _CalibrationJob(grid=GridConfig(radio, plan, theta_lim_rad),
                           det_config=det_config, noise_variance=noise_variance,
                           rng_seed=rng_seed)

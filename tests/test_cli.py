@@ -175,6 +175,21 @@ class TestEstimateCommand:
         file_doc = json.loads((out_dir / "report.json").read_text())
         assert file_doc == stdout_doc
 
+    def test_report_counts_searched_spectra(self, baseline_cfg, tmp_path, capsys):
+        # Both targets are canceled in the first iteration, which completes
+        # the noise basis of the order-2 estimate: no flat spectrum is
+        # searched after that, and nothing is left uncanceled.
+        targets = (Target(7.0, math.radians(-25), 0.02 + 0j),
+                   Target(14.0, math.radians(20), 0.005 + 0j))
+        csi_path = self.write_csi(tmp_path, targets, 15.0, seed=3)
+        out_dir = tmp_path / "reports"
+        assert main(["estimate", str(csi_path), "--config", str(baseline_cfg),
+                     "--out", str(out_dir)]) == 0
+        doc = json.loads((out_dir / "report.json").read_text())
+        assert [d["iteration"] for d in doc["detections"]] == [0, 0]
+        assert doc["spectra_computed"] == 1
+        assert doc["saturated"] is False
+
 
 class TestSweepCommand:
     def sweep_cfg(self, tmp_path, routine="multiple", seed=13):
@@ -252,6 +267,23 @@ class TestCalibrateCommand:
         main(["calibrate", "--config", str(baseline_cfg), "--trials", "20",
               "--threads", "2"])
         assert (tmp_path / "out" / "kappa.json").read_text() == first
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_exit_2(self, baseline_cfg, tmp_path, capsys, trials):
+        assert main(["calibrate", "--config", str(baseline_cfg), "--trials",
+                     trials, "--threads", "1"]) == 2
+        assert "n_trials must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "kappa.json").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "calibrate"])
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_exit_2(baseline_cfg, tmp_path, capsys, command,
+                                  threads):
+    assert main([command, "--config", str(baseline_cfg), "--threads",
+                 threads]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 _DETECT_AND_CALIBRATE = """

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from ofdm_music import (DEFAULT_THETA_LIM_RAD, AlreadyCanceledError,
-                        ConfigError, Detection, DetectorConfig, GridConfig,
-                        Routine, SpectrumEvaluator, SpectrumGrid, Subspaces,
-                        Target, TargetScene, cancel_target, cfar_threshold,
-                        coarse_grid, covariance, decimated_steering, decompose,
-                        detect, music_value, noise_variance_for_snr,
-                        refine_candidates, smooth, steering_params,
-                        synthesize_csi)
+                        ConfigError, Detection, DetectionReport, DetectorConfig,
+                        GridConfig, Routine, ScenarioSpec, SpectrumEvaluator,
+                        SpectrumGrid, Subspaces, Target, TargetScene,
+                        cancel_target, cfar_threshold, coarse_grid, covariance,
+                        decimated_steering, decompose, detect, generate_trial,
+                        music_value, noise_variance_for_snr, refine_candidates,
+                        smooth, steering_params, synthesize_csi)
+from ofdm_music import detection
 from ofdm_music.detection import _ascend, empirical_quantile
-from ofdm_music.presets import baseline_plan, baseline_radio, range_only_plan
+from ofdm_music.presets import (baseline_plan, baseline_radio, equal_m_plan,
+                                range_only_plan)
 
 
 def pipeline(targets, snr_db, noise_seed=0, plan=None, radio=None):
@@ -426,6 +428,142 @@ class TestDetect:
         assert set(d0) == {"range_m", "azimuth_deg", "value", "iteration"}
         assert d0["azimuth_deg"] == pytest.approx(
             math.degrees(report.detections[0].azimuth_rad))
+
+
+def detect_loop_reference(subspaces, params, grid_config, det_config):
+    """The detection loop before it stopped at a complete noise basis.
+
+    It re-grids and refines the flat spectrum left once cancelations have
+    completed the basis, and marks the report saturated whenever rounding
+    noise on that spectrum beats the threshold.
+    """
+    radio, plan = grid_config.radio, grid_config.plan
+    theta_lim = grid_config.theta_lim_rad
+    grid = coarse_grid(subspaces, params, radio, plan, theta_lim)
+    gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
+    spectra = 1
+    if subspaces.noise_basis.shape[1] >= subspaces.noise_basis.shape[0]:
+        return DetectionReport(detections=(), threshold_used=gamma,
+                               routine=det_config.routine, spectra_computed=spectra)
+    if det_config.routine is Routine.OFF:
+        merged = refine_candidates(subspaces, params, grid, det_config, theta_lim,
+                                   det_config.n_seeds)
+        dets = [Detection(r, th, val, 0) for r, th, val in merged if val >= gamma]
+        return DetectionReport(detections=tuple(dets), threshold_used=gamma,
+                               routine=det_config.routine, spectra_computed=spectra)
+    m_total = subspaces.noise_basis.shape[0]
+    current = subspaces
+    detections = []
+    saturated = False
+    for iteration in range(det_config.max_iterations):
+        if iteration > 0:
+            grid = coarse_grid(current, params, radio, plan, theta_lim)
+            spectra += 1
+            gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
+        merged = refine_candidates(current, params, grid, det_config, theta_lim,
+                                   det_config.n_seeds)
+        survivors = [p for p in merged if p[2] >= gamma]
+        if not survivors:
+            break
+        appended = 0
+        for r, th, val in sorted(survivors, key=lambda p: -p[2]):
+            if current.noise_basis.shape[1] >= m_total:
+                saturated = True
+                break
+            det = Detection(r, th, val, iteration)
+            try:
+                current = cancel_target(current, params, det)
+            except AlreadyCanceledError:
+                continue
+            detections.append(det)
+            appended += 1
+        if saturated or appended == 0:
+            break
+    return DetectionReport(detections=tuple(detections), threshold_used=gamma,
+                           routine=det_config.routine, spectra_computed=spectra,
+                           saturated=saturated)
+
+
+def complete(subspaces):
+    return subspaces.noise_basis.shape[1] >= subspaces.noise_basis.shape[0]
+
+
+class TestDetectLoop:
+    PLANS = {"baseline": baseline_plan, "range_only": range_only_plan,
+             "equal_m_1": lambda radio: equal_m_plan(1, radio)}
+
+    @pytest.mark.parametrize("plan_name", sorted(PLANS))
+    def test_matches_loop_reference(self, plan_name, monkeypatch):
+        # 100 seeded two-target scenes at 15 dB (range differences 0 and 1 m)
+        # per plan, each under all three routines: the same detections, never
+        # more spectra, and no grid or refinement on a complete noise basis.
+        radio = baseline_radio()
+        plan = self.PLANS[plan_name](radio)
+        params = steering_params(radio, plan)
+        gc = GridConfig(radio, plan)
+        calls = {"coarse_grid": [0, 0], "refine_candidates": [0, 0]}
+
+        def counted(name, fn):
+            def wrapper(subspaces, *args, **kwargs):
+                calls[name][0] += 1
+                calls[name][1] += complete(subspaces)
+                return fn(subspaces, *args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(detection, name,
+                                counted(name, getattr(detection, name)))
+        spec = ScenarioSpec(n_trials=100, snr_db=15.0, base_range_max_m=24.0,
+                            rng_seed=8)
+        spectra = [0, 0]
+        for i in range(100):
+            scene = generate_trial(spec, radio, i, range_diff_m=float(i % 2))
+            subs = decompose(covariance(smooth(
+                synthesize_csi(radio, scene, 5000 + i), plan)))
+            for routine in Routine:
+                dc = DetectorConfig(routine=routine)
+                got = detect(subs, params, gc, dc)
+                want = detect_loop_reference(subs, params, gc, dc)
+                assert repr(got.detections) == repr(want.detections), (i, routine)
+                assert got.spectra_computed <= want.spectra_computed
+                assert not got.saturated or want.saturated
+                spectra[0] += got.spectra_computed
+                spectra[1] += want.spectra_computed
+        assert calls["coarse_grid"][0] == spectra[0] < spectra[1]
+        assert calls["refine_candidates"][0] > 0
+        assert calls["coarse_grid"][1] == calls["refine_candidates"][1] == 0
+
+    def two_target_subspaces(self):
+        targets = (Target(7.0, math.radians(-25), 0.02 + 0j),
+                   Target(14.0, math.radians(20), 0.005 + 0j))
+        return pipeline(targets, 15.0, noise_seed=3)
+
+    def test_both_targets_canceled_in_first_iteration(self):
+        radio, plan, params, subs = self.two_target_subspaces()
+        assert subs.order_estimate == 2
+        dc = DetectorConfig()
+        report = detect(subs, params, GridConfig(radio, plan), dc)
+        assert [d.iteration for d in report.detections] == [0, 0]
+        assert report.spectra_computed == 1
+        assert report.saturated is False
+        grid = coarse_grid(subs, params, radio, plan)
+        assert report.threshold_used == cfar_threshold(grid, dc.p_fa, dc.kappa)
+
+    def test_uncancelable_survivor_saturates(self):
+        # One signal column, an equal mix of the two targets' steering
+        # vectors: both peak above the threshold, but the first cancelation
+        # completes the noise basis, so the second cannot be canceled.
+        radio, plan, params, _ = self.two_target_subspaces()
+        u = sum(v / np.linalg.norm(v) for v in (
+            decimated_steering(params, 7.0, math.radians(-25)),
+            decimated_steering(params, 14.0, math.radians(20))))
+        w, vecs = np.linalg.eigh(np.outer(u, u.conj()))
+        one = Subspaces(noise_basis=vecs[:, :-1], signal_basis=vecs[:, -1:],
+                        eigenvalues=w[::-1], order_estimate=1)
+        report = detect(one, params, GridConfig(radio, plan), DetectorConfig())
+        assert len(report.detections) == 1
+        assert report.saturated is True
+        assert report.spectra_computed == 1
 
 
 class TestDetectorConfig:

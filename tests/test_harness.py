@@ -355,6 +355,15 @@ class TestCalibrateKappa:
         assert calibrate_kappa(radio, plan, DetectorConfig(), **kw) == parallel
         assert pool_starts == [2]
 
+    @pytest.mark.parametrize("n_trials", [0, -2])
+    def test_no_trials_rejected(self, pool_starts, n_trials):
+        radio = small_radio(n=12, k=4)
+        plan = make_plan(radio, 9, 3, 1, 1, 1, 1)
+        with pytest.raises(ConfigError, match="n_trials"):
+            calibrate_kappa(radio, plan, DetectorConfig(), n_trials=n_trials,
+                            n_workers=2)
+        assert pool_starts == []
+
 
 class TestRunTrial:
     def test_two_targets_required(self):
