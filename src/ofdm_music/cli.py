@@ -33,7 +33,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="scenario seed (overrides config)")
     parser.add_argument("--threads", type=int,
-                        help="worker processes (default: available cores)")
+                        help="worker processes (default: the CPUs this process "
+                             "may run on)")
     parser.add_argument("--routine", choices=[r.value for r in Routine],
                         help="peak selection routine (overrides config)")
     parser.add_argument("--snr-db", type=float, dest="snr_db",
@@ -54,6 +55,17 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     out_dir = args.out if args.out is not None else cfg.out_dir
     return dataclasses.replace(cfg, detector=detector, scenario=scenario,
                                out_dir=out_dir)
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on.
+
+    Read from the affinity mask where the platform has one, so a process
+    pinned to fewer CPUs by taskset or a cpuset does not oversubscribe them.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _effective_config(cfg: RunConfig, n_workers: int) -> dict:
@@ -109,6 +121,10 @@ def cmd_calibrate(cfg: RunConfig, n_workers: int, n_trials: int) -> int:
 
 def cmd_complexity(cfg: RunConfig, model_order: int = 2) -> int:
     radio, plan = cfg.radio, cfg.plan
+    if plan.samples_per_subarray <= model_order:
+        raise ConfigError(
+            f"the complexity table needs sub-arrays of more than {model_order} "
+            f"samples (the model order), got M = {plan.samples_per_subarray}")
     comparator = make_plan(radio, plan.aperture_f, plan.aperture_a, 1, 1,
                            plan.stride_f, plan.stride_a)
     rows = [("configured", plan), ("no-decimation comparator", comparator)]
@@ -154,7 +170,7 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(cfg, args)
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        n_workers = args.threads or os.cpu_count() or 1
+        n_workers = args.threads or _available_cpus()
         if args.command == "estimate":
             return cmd_estimate(cfg, args.csi, args.out)
         if args.command == "sweep":

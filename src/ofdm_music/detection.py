@@ -206,39 +206,91 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
     step and doubles back up to one cell on an accepted one. A step is kept
     only if it lowers the denominator, and is clipped to [lo, hi]; an axis
     with lo == hi is not searched.
+
+    Each seed's state is a handful of Python floats, and its step is
+    recomputed only when it accepts a move. A step evaluates, in one batched
+    :meth:`SpectrumEvaluator.denominator` call, only the seeds whose trial
+    point is new. A seed whose trial point is the point it was last rejected
+    at just halves its radius: the denominator there is already known, and a
+    seed's denominator never rises, so the step would be rejected again. A
+    seed whose trial point rounds to its current point has stopped for good,
+    since the shorter steps that follow round there too. These skips are
+    exact because the denominator of a point does not depend on the batch it
+    is evaluated in, and the scalar arithmetic repeats the order of
+    operations of the batched form, so the iterates are the same bit for bit.
     """
-    free = hi > lo
-    scale = np.outer(cell, cell) * np.outer(free, free)
+    c0, c1 = map(float, cell)
+    lo0, lo1 = map(float, lo)
+    hi0, hi1 = map(float, hi)
+    f0, f1 = float(hi0 > lo0), float(hi1 > lo1)
+    s00, s01, s11 = c0 * c0 * f0, c0 * c1 * (f0 * f1), c1 * c1 * f1
+    # A frozen axis gets a unit curvature and no slope: it never moves.
+    e0, e1 = 1.0 - f0, 1.0 - f1
 
-    def evaluate(x):
-        den, grad, hess = evaluator.denominator(x[:, 0], x[:, 1])
-        # A frozen axis gets a unit curvature and no slope: it never moves.
-        return den, grad * cell * free, hess * scale + np.diag(~free)
+    def evaluate(points):
+        pts = np.array(points, dtype=float).reshape(-1, 2)
+        den, grad, hess = evaluator.denominator(pts[:, 0], pts[:, 1])
+        return zip(den.tolist(), grad.tolist(), hess.tolist())
 
-    x = np.array(x, dtype=float)
-    den, grad, hess = evaluate(x)
-    radius = np.full(len(x), _MAX_STEP_CELLS)
-    for _ in range(_ASCENT_STEPS):
-        h00, h01, h11 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+    def step(grad, hess):
+        """(d0, d1, length) of a point's step in cell units.
+
+        A Newton step where the Hessian is positive definite, else a unit
+        step down the gradient; a zero length reads as 1.0.
+        """
+        g0, g1 = grad[0] * c0 * f0, grad[1] * c1 * f1
+        # The added terms are the batched form's identity on frozen axes;
+        # adding 0.0 also turns its -0.0 into 0.0, as that form did.
+        h00 = hess[0][0] * s00 + e0
+        h01 = hess[0][1] * s01 + 0.0
+        h11 = hess[1][1] * s11 + e1
         det = h00 * h11 - h01 * h01
-        convex = (h00 > 0) & (det > 0)
-        det = np.where(convex, det, 1.0)
-        newton = -np.stack([h11 * grad[:, 0] - h01 * grad[:, 1],
-                            h00 * grad[:, 1] - h01 * grad[:, 0]], axis=1) \
-            / det[:, np.newaxis]
-        slope = np.linalg.norm(grad, axis=1, keepdims=True)
-        descent = -grad / np.where(slope > 0, slope, 1.0)
-        step = np.where(convex[:, np.newaxis], newton, descent)
-        length = np.linalg.norm(step, axis=1)
-        shrink = np.minimum(1.0, radius / np.where(length > 0, length, 1.0))
-        trial = np.clip(x + step * shrink[:, np.newaxis] * cell, lo, hi)
-        den_t, grad_t, hess_t = evaluate(trial)
-        better = den_t < den
-        x[better], den[better] = trial[better], den_t[better]
-        grad[better], hess[better] = grad_t[better], hess_t[better]
-        radius = np.where(better, np.minimum(2.0 * radius, _MAX_STEP_CELLS),
-                          radius / 2.0)
-    return x
+        if h00 > 0 and det > 0:
+            d0, d1 = -(h11 * g0 - h01 * g1) / det, -(h00 * g1 - h01 * g0) / det
+        else:
+            slope = math.sqrt(g0 * g0 + g1 * g1)
+            if not slope > 0:
+                slope = 1.0
+            d0, d1 = -g0 / slope, -g1 / slope
+        length = math.sqrt(d0 * d0 + d1 * d1)
+        return d0, d1, length if length > 0 else 1.0
+
+    points = np.asarray(x, dtype=float).reshape(-1, 2).tolist()
+    state = [(den, *step(grad, hess))
+             for den, grad, hess in evaluate(points)]
+    radius = [_MAX_STEP_CELLS] * len(points)
+    rejected = [None] * len(points)
+    active = list(range(len(points)))
+    for _ in range(_ASCENT_STEPS):
+        moving, fresh, trials = [], [], []
+        for i in active:
+            x0, x1 = points[i]
+            _, d0, d1, length = state[i]
+            shrink = min(1.0, radius[i] / length)
+            trial = [min(max(x0 + d0 * shrink * c0, lo0), hi0),
+                     min(max(x1 + d1 * shrink * c1, lo1), hi1)]
+            if trial == points[i]:
+                continue
+            moving.append(i)
+            if trial == rejected[i]:
+                radius[i] /= 2.0
+            else:
+                fresh.append(i)
+                trials.append(trial)
+        if trials:
+            for i, trial, (den, grad, hess) in zip(fresh, trials,
+                                                   evaluate(trials)):
+                if den < state[i][0]:
+                    points[i] = trial
+                    state[i] = (den, *step(grad, hess))
+                    radius[i] = min(2.0 * radius[i], _MAX_STEP_CELLS)
+                else:
+                    radius[i] /= 2.0
+                    rejected[i] = trial
+        active = moving
+        if not active:
+            break
+    return np.array(points, dtype=float).reshape(-1, 2)
 
 
 def refine_candidates(subspaces: Subspaces, params: SteeringParams,

@@ -104,6 +104,16 @@ class TestComplexityCommand:
         rows = capsys.readouterr().out.splitlines()
         assert any(row.split()[-3] == "9" for row in rows if "configured" in row)
 
+    def test_sub_array_not_above_model_order_exit_2(self, tmp_path, capsys):
+        # M = 2 samples per sub-array cannot hold the order-2 model: a
+        # configuration error, reported before any of the table is printed.
+        path = tmp_path / "m2.cfg"
+        path.write_text("c = 3e8\nA_f = 2\nD_f = 1\nA_a = 1\nD_a = 1\n")
+        assert main(["complexity", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "configuration error" in err and "M = 2" in err
+
 
 class TestEstimateCommand:
     def write_csi(self, tmp_path, targets, snr_db, seed=11):
@@ -218,6 +228,15 @@ class TestSweepCommand:
         assert doc["config"]["routine"] == "off"
         assert doc["config"]["seed"] == 99
         assert doc["version"].startswith("ofdm-music/")
+
+    def test_default_workers_follow_cpu_affinity(self, tmp_path, monkeypatch):
+        # Pinned to one CPU, a run without --threads starts one worker, not
+        # one per CPU of the machine.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert main(["sweep", "--config", str(self.sweep_cfg(tmp_path))]) == 0
+        doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
+        assert doc["threads"] == 1
 
     def test_patched_fig2_runs(self, tmp_path):
         text = bundled_config_text("fig2_desk.cfg")

@@ -566,6 +566,175 @@ class TestDetectLoop:
         assert report.spectra_computed == 1
 
 
+def ascend_reference(evaluator, x, cell, lo, hi):
+    """The Newton ascent before it skipped repeated trial points.
+
+    It holds every seed's state in (n, 2) arrays and evaluates every seed at
+    every one of the ``_ASCENT_STEPS`` steps.
+    """
+    free = hi > lo
+    scale = np.outer(cell, cell) * np.outer(free, free)
+
+    def evaluate(x):
+        den, grad, hess = evaluator.denominator(x[:, 0], x[:, 1])
+        return den, grad * cell * free, hess * scale + np.diag(~free)
+
+    x = np.array(x, dtype=float)
+    den, grad, hess = evaluate(x)
+    radius = np.full(len(x), detection._MAX_STEP_CELLS)
+    for _ in range(detection._ASCENT_STEPS):
+        h00, h01, h11 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+        det = h00 * h11 - h01 * h01
+        convex = (h00 > 0) & (det > 0)
+        det = np.where(convex, det, 1.0)
+        newton = -np.stack([h11 * grad[:, 0] - h01 * grad[:, 1],
+                            h00 * grad[:, 1] - h01 * grad[:, 0]], axis=1) \
+            / det[:, np.newaxis]
+        slope = np.linalg.norm(grad, axis=1, keepdims=True)
+        descent = -grad / np.where(slope > 0, slope, 1.0)
+        step = np.where(convex[:, np.newaxis], newton, descent)
+        length = np.linalg.norm(step, axis=1)
+        shrink = np.minimum(1.0, radius / np.where(length > 0, length, 1.0))
+        trial = np.clip(x + step * shrink[:, np.newaxis] * cell, lo, hi)
+        den_t, grad_t, hess_t = evaluate(trial)
+        better = den_t < den
+        x[better], den[better] = trial[better], den_t[better]
+        grad[better], hess[better] = grad_t[better], hess_t[better]
+        radius = np.where(better,
+                          np.minimum(2.0 * radius, detection._MAX_STEP_CELLS),
+                          radius / 2.0)
+    return x
+
+
+def two_target_scenes(plan_name, n):
+    """(subspaces, params, grid config) of the seeded two-target scenes at
+    15 dB that :class:`TestDetectLoop` uses, range differences 0 and 1 m."""
+    radio = baseline_radio()
+    plan = TestDetectLoop.PLANS[plan_name](radio)
+    params = steering_params(radio, plan)
+    gc = GridConfig(radio, plan)
+    spec = ScenarioSpec(n_trials=n, snr_db=15.0, base_range_max_m=24.0,
+                        rng_seed=8)
+    for i in range(n):
+        scene = generate_trial(spec, radio, i, range_diff_m=float(i % 2))
+        yield decompose(covariance(smooth(
+            synthesize_csi(radio, scene, 5000 + i), plan))), params, gc
+
+
+def record_ascents(monkeypatch):
+    """Patch ``detection._ascend`` to keep the arguments of every call."""
+    calls = []
+
+    def recorded(evaluator, x, cell, lo, hi):
+        calls.append((evaluator, np.array(x), cell, lo, hi))
+        return _ascend(evaluator, x, cell, lo, hi)
+
+    monkeypatch.setattr(detection, "_ascend", recorded)
+    return calls
+
+
+class TestAscend:
+    @pytest.mark.parametrize("plan_name", sorted(TestDetectLoop.PLANS))
+    def test_matches_reference_in_detect(self, plan_name, monkeypatch):
+        # Every ascent that 100 seeded two-target scenes per plan start,
+        # under all three routines, ends bit for bit where the reference does.
+        calls = record_ascents(monkeypatch)
+        for subs, params, gc in two_target_scenes(plan_name, 100):
+            for routine in Routine:
+                detect(subs, params, gc, DetectorConfig(routine=routine))
+        assert len(calls) >= 300
+        for i, (evaluator, x, cell, lo, hi) in enumerate(calls):
+            assert np.array_equal(_ascend(evaluator, x, cell, lo, hi),
+                                  ascend_reference(evaluator, x, cell, lo, hi)), i
+
+    @pytest.mark.parametrize("plan_name", sorted(TestDetectLoop.PLANS))
+    def test_matches_reference_from_domain_bounds(self, plan_name):
+        subs, params, _ = next(two_target_scenes(plan_name, 1))
+        ev = SpectrumEvaluator(subs, params)
+        r_hi = params.r_max_m * (1.0 - 1e-12)
+        s_lim = math.sin(DEFAULT_THETA_LIM_RAD)
+        cell = np.array([0.1, 0.05])
+        if plan_name == "range_only":
+            lo, hi = np.array([0.0, 0.0]), np.array([r_hi, 0.0])
+        else:
+            lo, hi = np.array([0.0, -s_lim]), np.array([r_hi, s_lim])
+        x = np.array([[0.0, lo[1]], [r_hi, hi[1]], [0.0, hi[1]], [r_hi, lo[1]],
+                      [0.5 * r_hi, lo[1]], [0.0, 0.0], [r_hi, 0.0]])
+        assert np.array_equal(_ascend(ev, x, cell, lo, hi),
+                              ascend_reference(ev, x, cell, lo, hi))
+
+    @pytest.mark.parametrize("evaluator, x, cell, lo, hi", [
+        (Quadratic(), [[9.0, 0.4], [-10.0, 1.0], [3.7, -0.2], [10.0, -1.0]],
+         [0.5, 0.1], [-10.0, -1.0], [10.0, 1.0]),
+        # The first start has an indefinite Hessian; two start on a bound.
+        (Cosines(), [[1.2, -1.0], [4.0, 4.0], [-4.0, 0.3], [3.1, -2.9]],
+         [0.5, 0.5], [-4.0, -4.0], [4.0, 4.0]),
+        (BumpedParabola(), [[15.0, 0.0], [20.0, 0.0], [-20.0, 0.0],
+                            [14.0, 0.0]],
+         [1.0, 1.0], [-20.0, 0.0], [20.0, 0.0]),
+    ], ids=["quadratic", "cosines", "bumped_parabola"])
+    def test_matches_reference_on_closed_forms(self, evaluator, x, cell, lo, hi):
+        x, cell, lo, hi = map(np.array, (x, cell, lo, hi))
+        assert np.array_equal(_ascend(evaluator, x, cell, lo, hi),
+                              ascend_reference(evaluator, x, cell, lo, hi))
+        for seed in x:
+            assert np.array_equal(
+                _ascend(evaluator, seed[np.newaxis], cell, lo, hi),
+                ascend_reference(evaluator, seed[np.newaxis], cell, lo, hi))
+
+    @pytest.mark.parametrize("plan_name", sorted(TestDetectLoop.PLANS))
+    def test_denominator_rows_do_not_depend_on_the_batch(self, plan_name):
+        # What makes skipping a repeated point exact: a point's denominator,
+        # gradient and Hessian are the same bits in any batch.
+        subs, params, _ = next(two_target_scenes(plan_name, 1))
+        ev = SpectrumEvaluator(subs, params)
+        rng = np.random.default_rng(11)
+        pts = np.column_stack([rng.uniform(0.0, params.r_max_m, 10),
+                               rng.uniform(-0.85, 0.85, 10)])
+        full = ev.denominator(pts[:, 0], pts[:, 1])
+        for idx in ([3], [0, 9], [2, 3, 5, 7], list(range(9)),
+                    rng.permutation(10), rng.permutation(10)[:6]):
+            part = pts[idx]
+            for got, want in zip(ev.denominator(part[:, 0], part[:, 1]), full):
+                assert got.tobytes() == want[idx].tobytes(), idx
+
+    def test_evaluates_under_half_the_points_and_never_repeats(self,
+                                                               monkeypatch):
+        # The reference evaluates every seed at the start and at every
+        # step. Skipping repeated points must save more than half of that
+        # over seeded baseline scenes, and no seed may be evaluated at the
+        # point it was evaluated at in the step before.
+        calls = record_ascents(monkeypatch)
+        for subs, params, gc in two_target_scenes("baseline", 100):
+            detect(subs, params, gc, DetectorConfig())
+        batches = []
+        denominator = SpectrumEvaluator.denominator
+
+        def counted(self, ranges_m, sines):
+            batches.append(list(zip(ranges_m.tolist(), sines.tolist())))
+            return denominator(self, ranges_m, sines)
+
+        monkeypatch.setattr(SpectrumEvaluator, "denominator", counted)
+        evaluated = budget = 0
+        for evaluator, x, cell, lo, hi in calls:
+            budget += len(x) * (detection._ASCENT_STEPS + 1)
+            batches.clear()
+            _ascend(evaluator, x, cell, lo, hi)
+            together = sum(map(len, batches))
+            evaluated += together
+            # Seeds do not interact, so each can be followed on its own.
+            alone = 0
+            for seed in x:
+                batches.clear()
+                _ascend(evaluator, seed[np.newaxis], cell, lo, hi)
+                assert all(before != after
+                           for before, after in zip(batches, batches[1:]))
+                alone += sum(map(len, batches))
+            assert alone == together
+        assert len(calls) >= 100
+        assert evaluated <= 0.5 * budget
+
+
 class TestDetectorConfig:
     def test_p_fa_bounds(self):
         with pytest.raises(ConfigError):
