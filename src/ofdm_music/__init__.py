@@ -11,9 +11,9 @@ from .harness import (ScenarioSpec, ScoringContext, SweepSummary, TrialResult,
                       noise_variance_for_snr, run_sweep, run_trial, trimmed_rmse,
                       write_sweep_outputs)
 from .music import (DEFAULT_THETA_LIM_RAD, MUSIC_VALUE_CLAMP, SpectrumEvaluator,
-                    SpectrumGrid, SteeringParams, Subspaces, angle_resolution,
-                    coarse_grid, decimated_steering, decompose, flop_estimate,
-                    grid_axes, mdl_order, music_value, range_resolution,
+                    SpectrumGrid, SteeringParams, Subspaces, coarse_grid,
+                    decimated_steering, decompose, flop_estimate, grid_geometry,
+                    grid_steering, mdl_order, music_value, range_resolution,
                     steering_params, unambiguous_range)
 from .presets import (baseline_plan, baseline_radio, equal_m_plan,
                       range_only_plan)

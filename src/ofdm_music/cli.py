@@ -18,10 +18,10 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_run_config
-from .detection import GridConfig, Routine, detect
+from .detection import Routine, detect
 from .errors import ConfigError, NumericalError, OfdmMusicError
 from .harness import calibrate_kappa, run_sweep, write_sweep_outputs
-from .music import decompose, flop_estimate, steering_params
+from .music import GridConfig, decompose, flop_estimate, grid_geometry
 from .signal_model import CsiMatrix
 from .smoothing import covariance, make_plan, smooth
 
@@ -82,9 +82,8 @@ def _effective_config(cfg: RunConfig, n_workers: int) -> dict:
 def cmd_estimate(cfg: RunConfig, csi_path: str, out_dir: str | None) -> int:
     csi = CsiMatrix.from_binary(csi_path, cfg.radio)
     subs = decompose(covariance(smooth(csi, cfg.plan)))
-    params = steering_params(cfg.radio, cfg.plan)
-    report = detect(subs, params,
-                    GridConfig(cfg.radio, cfg.plan, cfg.theta_lim_rad),
+    grid_config = GridConfig(cfg.radio, cfg.plan, cfg.theta_lim_rad)
+    report = detect(subs, grid_geometry(grid_config).params, grid_config,
                     cfg.detector)
     text = report.to_json()
     print(text)

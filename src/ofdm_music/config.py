@@ -16,7 +16,7 @@ import numpy as np
 from .detection import DetectorConfig, Routine
 from .errors import ConfigError
 from .harness import ScenarioSpec
-from .music import unambiguous_range
+from .music import GridConfig, unambiguous_range
 from .presets import BASELINE_SPEED_OF_LIGHT
 from .signal_model import RadioConfig
 from .smoothing import SubarrayPlan, make_plan
@@ -98,7 +98,11 @@ def _parse_value(key: str, raw: str, lineno: int):
         if key in _INT_KEYS:
             return int(raw)
         if key in _FLOAT_KEYS:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"line {lineno}: key {key} must be finite, got {raw!r}")
+            return value
     except ValueError:
         raise ConfigError(f"line {lineno}: key {key} got unparseable value {raw!r}")
     return raw
@@ -158,8 +162,10 @@ def build_run_config(values: dict) -> RunConfig:
         angle_range_deg=(values["angle_min_deg"], values["angle_max_deg"]),
         base_range_max_m=base_max, rng_seed=values["seed"],
         min_angle_sep_deg=values["min_angle_sep_deg"])
+    theta_lim = math.radians(values["theta_lim_deg"])
+    GridConfig(radio, plan, theta_lim)   # rejects a limit outside [0, 90] deg
     return RunConfig(radio=radio, plan=plan, detector=detector, scenario=scenario,
-                     theta_lim_rad=math.radians(values["theta_lim_deg"]),
+                     theta_lim_rad=theta_lim,
                      first_target_only=values["first_target_only"],
                      out_dir=values["out_dir"], raw=values)
 

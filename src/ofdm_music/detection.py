@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlreadyCanceledError, ConfigError, DomainError
-from .music import (DEFAULT_THETA_LIM_RAD, SpectrumEvaluator, SpectrumGrid,
-                    Subspaces, SteeringParams, coarse_grid, decimated_steering)
-from .signal_model import RadioConfig
-from .smoothing import SubarrayPlan
+from .music import (GridConfig, SpectrumEvaluator, SpectrumGrid, Subspaces,
+                    SteeringParams, coarse_grid, decimated_steering,
+                    grid_geometry)
 
 # Seeds are half-resolution grid maxima, so the peak to refine is about one
 # grid cell away; a step longer than a cell could tunnel to a neighboring
@@ -71,22 +70,16 @@ class DetectorConfig:
             raise ConfigError(f"p_fa must lie in (0, 1), got {self.p_fa}")
         if self.n_start < 1 or self.max_iterations < 1:
             raise ConfigError("n_start and max_iterations must be >= 1")
-        if self.kappa <= 0:
-            raise ConfigError("kappa must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ConfigError(f"kappa must be positive and finite, got {self.kappa}")
+        if not all(r >= 0 for r in self.merge_radius):
+            raise ConfigError(
+                f"merge_radius must be nonnegative, got {self.merge_radius}")
 
     @property
     def n_seeds(self) -> int:
         """Grid maxima refined per iteration: one for SINGLE, n_start otherwise."""
         return 1 if self.routine is Routine.SINGLE else self.n_start
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """The (radio, plan, theta-limit) record that fixes the coarse grid."""
-
-    radio: RadioConfig
-    plan: SubarrayPlan
-    theta_lim_rad: float = DEFAULT_THETA_LIM_RAD
 
 
 @dataclass(frozen=True)
@@ -293,34 +286,25 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
     return np.array(points, dtype=float).reshape(-1, 2)
 
 
-def refine_candidates(subspaces: Subspaces, params: SteeringParams,
+def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
                       grid: SpectrumGrid, det_config: DetectorConfig,
-                      theta_lim_rad: float, n_seeds: int
-                      ) -> list[tuple[float, float, float]]:
-    """Refine the ``n_seeds`` strongest grid points together; merged, unsorted.
+                      n_seeds: int) -> list[tuple[float, float, float]]:
+    """Refine the ``n_seeds`` strongest points of ``grid``; merged, unsorted.
 
-    The ascent runs in (r, sin theta), where the steering phase is linear;
-    a grid cell there is the range step by the angle step, half a resolution
-    cell in each. Refined points pinned against a search-domain edge are
-    dropped: they are boundary maxima, not spectrum peaks. In particular the
-    aliased skirt of a near-zero-range target wraps in just below the
-    unambiguous range and would otherwise masquerade as a detection there.
+    The ascent runs in (r, sin theta), where the steering phase is linear,
+    in the search box and grid cells of the geometry of ``grid_config``.
+    Refined points pinned against a search-domain edge are dropped: they are
+    boundary maxima, not spectrum peaks. In particular the aliased skirt of
+    a near-zero-range target wraps in just below the unambiguous range and
+    would otherwise masquerade as a detection there.
     """
-    evaluator = SpectrumEvaluator(subspaces, params)
+    geometry = grid_geometry(grid_config)
+    lo, hi, cell = geometry.lo, geometry.hi, geometry.cell
+    evaluator = SpectrumEvaluator(subspaces, geometry.params)
     flat = grid.values.ravel()
     order = np.argsort(-flat, kind="stable")[:min(n_seeds, flat.size)]
-    n_angles = grid.angles_rad.size
-    rows, cols = np.divmod(order, n_angles)
+    rows, cols = np.divmod(order, grid.angles_rad.size)
     seeds = np.column_stack([grid.ranges_m[rows], np.sin(grid.angles_rad[cols])])
-    r_hi = params.r_max_m * (1.0 - 1e-12)
-    if n_angles > 1:
-        s_lim = math.sin(theta_lim_rad)
-        lo, hi = np.array([0.0, -s_lim]), np.array([r_hi, s_lim])
-        cell = np.array([grid.range_step(), grid.angle_step()])
-    else:
-        s0 = seeds[0, 1]
-        lo, hi = np.array([0.0, s0]), np.array([r_hi, s0])
-        cell = np.array([grid.range_step(), 1.0])
     refined = _ascend(evaluator, seeds, cell, lo, hi)
     margin = np.minimum(refined - lo, hi - refined) / cell
     pinned = np.any((margin < 1e-6) & (hi > lo), axis=1)
@@ -328,9 +312,9 @@ def refine_candidates(subspaces: Subspaces, params: SteeringParams,
     for r, s in refined[~pinned]:
         th = math.asin(s)
         peaks.append((float(r), th, evaluator.value(r, th)))
-    radius_r = det_config.merge_radius[0] * 2.0 * grid.range_step()
-    radius_theta = det_config.merge_radius[1] * 2.0 * grid.angle_step() \
-        if n_angles > 1 else math.inf
+    radius_r = det_config.merge_radius[0] * 2.0 * float(cell[0])
+    radius_theta = det_config.merge_radius[1] * 2.0 * float(cell[1]) \
+        if geometry.angles_rad.size > 1 else math.inf
     return _merge_peaks(peaks, radius_r, radius_theta)
 
 
@@ -350,40 +334,33 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
     remaining spectrum floor instead of the already-canceled peaks.
 
     A complete noise basis leaves no signal directions, so its spectrum is
-    exactly flat and admits no peaks. Detection therefore returns at once on
-    an order-zero estimate, and the iteration loop ends as soon as
-    cancelations have completed the basis, without gridding or searching the
-    flat spectrum. A survivor met after that point in the same iteration
-    cannot be canceled and marks the report ``saturated``.
+    exactly flat and admits no peaks. The iteration loop therefore ends,
+    without gridding or searching that spectrum, once the basis is complete:
+    at once on an order-zero estimate, else once cancelations complete it. A
+    survivor met after that point in the same iteration cannot be canceled
+    and marks the report ``saturated``. The ``off`` routine reports the
+    survivors of iteration 0 in merge order and cancels none.
     """
-    radio, plan = grid_config.radio, grid_config.plan
-    theta_lim = grid_config.theta_lim_rad
-    grid = coarse_grid(subspaces, params, radio, plan, theta_lim)
+    grid = coarse_grid(subspaces, grid_config)
     gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
     spectra = 1
-
-    if _noise_spans_space(subspaces):
-        return DetectionReport(detections=(), threshold_used=gamma,
-                               routine=det_config.routine, spectra_computed=spectra)
-
-    if det_config.routine is Routine.OFF:
-        merged = refine_candidates(subspaces, params, grid, det_config, theta_lim,
-                                   det_config.n_seeds)
-        dets = [Detection(r, th, val, 0) for r, th, val in merged if val >= gamma]
-        return DetectionReport(detections=tuple(dets), threshold_used=gamma,
-                               routine=det_config.routine, spectra_computed=spectra)
-
     current = subspaces
     detections: list[Detection] = []
     saturated = False
     for iteration in range(det_config.max_iterations):
+        if _noise_spans_space(current):
+            break
         if iteration > 0:
-            grid = coarse_grid(current, params, radio, plan, theta_lim)
+            grid = coarse_grid(current, grid_config)
             spectra += 1
             gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
-        merged = refine_candidates(current, params, grid, det_config, theta_lim,
+        merged = refine_candidates(current, grid_config, grid, det_config,
                                    det_config.n_seeds)
         survivors = [p for p in merged if p[2] >= gamma]
+        if det_config.routine is Routine.OFF:
+            detections = [Detection(r, th, val, iteration)
+                          for r, th, val in survivors]
+            break
         if not survivors:
             break
         appended = 0
@@ -398,7 +375,7 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
                 continue   # converged onto an already-canceled peak; drop it
             detections.append(det)
             appended += 1
-        if saturated or appended == 0 or _noise_spans_space(current):
+        if saturated or appended == 0:
             break
     return DetectionReport(detections=tuple(detections), threshold_used=gamma,
                            routine=det_config.routine, spectra_computed=spectra,

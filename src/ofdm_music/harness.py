@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (Detection, DetectionReport, DetectorConfig, GridConfig,
+from .detection import (Detection, DetectionReport, DetectorConfig,
                         cancel_target, cfar_threshold, detect,
                         empirical_quantile, refine_candidates)
 from .errors import AlreadyCanceledError, ConfigError, DomainError
-from .music import (DEFAULT_THETA_LIM_RAD, Subspaces, SteeringParams,
-                    coarse_grid, decompose, steering_params)
+from .music import (DEFAULT_THETA_LIM_RAD, GridConfig, Subspaces, coarse_grid,
+                    decompose, grid_geometry)
 from .signal_model import (RadioConfig, Target, TargetScene, scene_coefficient,
                            synthesize_csi)
 from .smoothing import SubarrayPlan, covariance, smooth
@@ -55,19 +55,24 @@ class ScenarioSpec:
     min_angle_sep_deg: float = 0.0
 
     def __post_init__(self):
+        # Every check is written so that NaN fails it.
         object.__setattr__(self, "range_diffs_m", tuple(self.range_diffs_m))
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
-        if any(d < 0 for d in self.range_diffs_m):
-            raise ConfigError("range differences must be nonnegative")
-        if self.base_range_max_m <= 0:
-            raise ConfigError("base_range_max_m must be positive")
-        span = self.angle_range_deg[1] - self.angle_range_deg[0]
-        if span <= 0:
-            raise ConfigError("angle range must be nonempty")
+        if not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        if not all(0 <= d < math.inf for d in self.range_diffs_m):
+            raise ConfigError("range differences must be finite and nonnegative")
+        if not 0 < self.base_range_max_m < math.inf:
+            raise ConfigError("base_range_max_m must be positive and finite")
+        lo, hi = self.angle_range_deg
+        if not -90.0 < lo < hi < 90.0:
+            raise ConfigError(f"angle range {self.angle_range_deg} deg must be "
+                              "nonempty and inside (-90, 90)")
+        span = hi - lo
         # Uniform azimuth pairs from the span are almost surely never this far
         # apart, so the rejection loop in generate_trial would never end.
-        if self.min_angle_sep_deg >= span:
+        if not self.min_angle_sep_deg < span:
             raise ConfigError(
                 f"min_angle_sep_deg={self.min_angle_sep_deg} must be below the "
                 f"angle span of {span} deg")
@@ -156,17 +161,12 @@ def noise_variance_for_snr(scene: TargetScene, config: RadioConfig,
 class ScoringContext:
     """Coarse-grid fallback estimates for trials with missed detections."""
 
-    def __init__(self, subspaces: Subspaces, params: SteeringParams,
-                 radio: RadioConfig, plan: SubarrayPlan,
-                 theta_lim_rad: float = DEFAULT_THETA_LIM_RAD):
+    def __init__(self, subspaces: Subspaces, grid_config: GridConfig):
         self.subspaces = subspaces
-        self.params = params
-        self.grid_config = GridConfig(radio, plan, theta_lim_rad)
+        self.grid_config = grid_config
 
     def _argmax(self, subspaces: Subspaces) -> tuple[float, float]:
-        g = self.grid_config
-        r, th, _ = coarse_grid(subspaces, self.params, g.radio, g.plan,
-                               g.theta_lim_rad).argmax()
+        r, th, _ = coarse_grid(subspaces, self.grid_config).argmax()
         return r, th
 
     def grid_argmax(self) -> tuple[float, float]:
@@ -176,9 +176,10 @@ class ScoringContext:
                         ) -> tuple[float, float]:
         """Grid maximum after canceling the given (range, azimuth) points."""
         subs = self.subspaces
+        params = grid_geometry(self.grid_config).params
         for r, th in canceled:
             try:
-                subs = cancel_target(subs, self.params, Detection(r, th, 0.0, 0))
+                subs = cancel_target(subs, params, Detection(r, th, 0.0, 0))
             except AlreadyCanceledError:
                 continue
         return self._argmax(subs)
@@ -255,9 +256,10 @@ def run_trial(radio: RadioConfig, plan: SubarrayPlan, det_config: DetectorConfig
         raise ConfigError("run_trial scores exactly two targets")
     csi = synthesize_csi(radio, scene, noise_seed)
     subs = decompose(covariance(smooth(csi, plan)))
-    params = steering_params(radio, plan)
-    report = detect(subs, params, GridConfig(radio, plan, theta_lim_rad), det_config)
-    ctx = ScoringContext(subs, params, radio, plan, theta_lim_rad)
+    grid_config = GridConfig(radio, plan, theta_lim_rad)
+    report = detect(subs, grid_geometry(grid_config).params, grid_config,
+                    det_config)
+    ctx = ScoringContext(subs, grid_config)
     truth = tuple((t.range_m, t.azimuth_rad) for t in scene.targets)
     return assign_and_score(truth, report, ctx, score_angle=plan.n_sub_a > 1)
 
@@ -358,10 +360,9 @@ def _calibration_pivot(job: _CalibrationJob, trial_index: int) -> float:
     subs = decompose(covariance(smooth(csi, g.plan)))
     if subs.order_estimate == 0:
         return 0.0   # flat spectrum: the detector cannot alarm on this trial
-    params = steering_params(g.radio, g.plan)
-    grid = coarse_grid(subs, params, g.radio, g.plan, g.theta_lim_rad)
-    peaks = refine_candidates(subs, params, grid, job.det_config,
-                              g.theta_lim_rad, job.det_config.n_seeds)
+    grid = coarse_grid(subs, g)
+    peaks = refine_candidates(subs, g, grid, job.det_config,
+                              job.det_config.n_seeds)
     if not peaks:   # every refinement pinned at a domain edge: nothing to alarm
         return 0.0
     return max(p[2] for p in peaks) / cfar_threshold(grid, job.det_config.p_fa)

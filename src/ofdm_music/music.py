@@ -8,6 +8,7 @@ decimated sub-array lattice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,14 +69,6 @@ class SpectrumGrid:
             raise ConfigError(
                 f"grid values shape {self.values.shape} does not match axes "
                 f"({self.ranges_m.size}, {self.angles_rad.size})")
-
-    def range_step(self) -> float:
-        return float(self.ranges_m[1] - self.ranges_m[0]) if self.ranges_m.size > 1 \
-            else 0.0
-
-    def angle_step(self) -> float:
-        return float(self.angles_rad[1] - self.angles_rad[0]) \
-            if self.angles_rad.size > 1 else 0.0
 
     def argmax(self) -> tuple[float, float, float]:
         """(range, angle, value) of the largest grid sample."""
@@ -167,6 +160,29 @@ def music_value(subspaces: Subspaces, steering: np.ndarray) -> float:
     return min(1.0 / den, MUSIC_VALUE_CLAMP)
 
 
+@functools.lru_cache(maxsize=16)
+def _phase_ramps(params: SteeringParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (ramp_r, ramp_theta): element m of a decimated steering
+    vector has the phase r*ramp_r[m] + sin(theta)*ramp_theta[m]."""
+    i = np.repeat(np.arange(params.n_sub_f), params.n_sub_a)
+    j = np.tile(np.arange(params.n_sub_a), params.n_sub_f)
+    ramp_r = params.phi_f * (2.0 / params.speed_of_light_m_s) * i
+    ramp_theta = params.phi_a * j
+    ramp_r.flags.writeable = ramp_theta.flags.writeable = False
+    return ramp_r, ramp_theta
+
+
+def grid_steering(params: SteeringParams, ranges_m: np.ndarray,
+                  angles_rad: np.ndarray) -> np.ndarray:
+    """Steering vectors of the grid ``ranges_m`` x ``angles_rad`` as columns,
+    column i*angles_rad.size + j at (ranges_m[i], angles_rad[j])."""
+    ramp_r, ramp_theta = _phase_ramps(params)
+    sin_th = np.sin(angles_rad)
+    phases = ranges_m[:, np.newaxis, np.newaxis] * ramp_r \
+        + sin_th[np.newaxis, :, np.newaxis] * ramp_theta
+    return np.exp(1j * phases.reshape(-1, ramp_r.size)).T
+
+
 class SpectrumEvaluator:
     """Fast repeated pseudospectrum evaluation for one noise basis.
 
@@ -178,13 +194,8 @@ class SpectrumEvaluator:
     """
 
     def __init__(self, subspaces: Subspaces, params: SteeringParams):
-        self.subspaces = subspaces
-        self.params = params
         self._noise_h = np.ascontiguousarray(subspaces.noise_basis.conj().T)
-        i = np.repeat(np.arange(params.n_sub_f), params.n_sub_a)
-        j = np.tile(np.arange(params.n_sub_a), params.n_sub_f)
-        self._ramp_r = params.phi_f * (2.0 / params.speed_of_light_m_s) * i
-        self._ramp_theta = params.phi_a * j
+        self._ramp_r, self._ramp_theta = _phase_ramps(params)
         a, b = self._ramp_r, self._ramp_theta
         # v scaled by the ramp products that its derivatives bring down.
         self._moments = np.stack([np.ones_like(a), a, b, a * a, a * b, b * b])
@@ -197,19 +208,12 @@ class SpectrumEvaluator:
             return MUSIC_VALUE_CLAMP
         return min(1.0 / den, MUSIC_VALUE_CLAMP)
 
-    def values(self, ranges_m: np.ndarray, angles_rad: np.ndarray) -> np.ndarray:
-        """Grid of values over the Cartesian product of the two axes."""
-        sin_th = np.sin(angles_rad)
-        phases = ranges_m[:, np.newaxis, np.newaxis] * self._ramp_r \
-            + sin_th[np.newaxis, :, np.newaxis] * self._ramp_theta
-        v = np.exp(1j * phases.reshape(-1, self._ramp_r.size))
-        proj = self._noise_h @ v.T
+    def values(self, steering: np.ndarray) -> np.ndarray:
+        """Values at the steering vectors that are the columns of ``steering``."""
+        proj = self._noise_h @ steering
         den = np.sum(np.abs(proj) ** 2, axis=0)
-        with np.errstate(divide="ignore"):
-            vals = np.where(den <= 1.0 / MUSIC_VALUE_CLAMP, MUSIC_VALUE_CLAMP,
-                            np.minimum(1.0 / np.maximum(den, 1e-300),
-                                       MUSIC_VALUE_CLAMP))
-        return vals.reshape(ranges_m.size, angles_rad.size)
+        return np.where(den <= 1.0 / MUSIC_VALUE_CLAMP, MUSIC_VALUE_CLAMP,
+                        np.minimum(1.0 / np.maximum(den, 1e-300), MUSIC_VALUE_CLAMP))
 
     def denominator(self, ranges_m: np.ndarray, sines: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,43 +246,80 @@ def unambiguous_range(config: RadioConfig, plan: SubarrayPlan) -> float:
                                         * config.subcarrier_spacing_hz)
 
 
-def angle_resolution(config: RadioConfig, plan: SubarrayPlan) -> float:
-    """Broadside ULA resolution lambda / (aperture length) of the decimated array.
+@dataclass(frozen=True)
+class GridConfig:
+    """The (radio, plan, theta-limit) record that fixes the coarse grid."""
 
-    Undefined for single-antenna sub-arrays (no angle dimension).
+    radio: RadioConfig
+    plan: SubarrayPlan
+    theta_lim_rad: float = DEFAULT_THETA_LIM_RAD
+
+    def __post_init__(self):
+        if not 0.0 <= self.theta_lim_rad <= math.pi / 2:
+            raise ConfigError(
+                f"theta limit must lie in [0, pi/2] rad, got {self.theta_lim_rad}")
+
+
+@dataclass(frozen=True)
+class GridGeometry:
+    """What a :class:`GridConfig` fixes: the coarse grid's axes and steering
+    vectors (the columns of ``steering``), and the refiner's search box
+    [lo, hi] and grid cell in (r, sin theta). All arrays are read-only."""
+
+    params: SteeringParams
+    ranges_m: np.ndarray
+    angles_rad: np.ndarray
+    steering: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    cell: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def grid_geometry(grid_config: GridConfig) -> GridGeometry:
+    """The geometry of ``grid_config``, built once and shared by every caller.
+
+    The axes step by half a resolution cell over [0, r_max) x [-lim, lim].
+    Single-antenna sub-arrays get the one angle 0, which pins the search box.
     """
-    extent = (plan.n_sub_a - 1) * plan.decim_a * config.antenna_spacing_m
-    if extent <= 0:
-        raise DomainError("angle resolution undefined for single-antenna sub-arrays")
-    return config.wavelength_m / extent
-
-
-def grid_axes(config: RadioConfig, plan: SubarrayPlan,
-              theta_lim_rad: float = DEFAULT_THETA_LIM_RAD
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Coarse-grid axes: half-resolution steps over [0, r_max) x [-lim, lim]."""
-    r_step = range_resolution(config, plan) / 2.0
-    ranges = np.arange(0.0, unambiguous_range(config, plan), r_step)
+    radio, plan = grid_config.radio, grid_config.plan
+    theta_lim = grid_config.theta_lim_rad
+    params = steering_params(radio, plan)
+    r_step = range_resolution(radio, plan) / 2.0
+    ranges = np.arange(0.0, params.r_max_m, r_step)
     if plan.n_sub_a > 1:
-        th_step = angle_resolution(config, plan) / 2.0
-        angles = np.arange(-theta_lim_rad, theta_lim_rad + 1e-12, th_step)
-        angles = angles[angles <= theta_lim_rad + 1e-12]
+        extent = (plan.n_sub_a - 1) * plan.decim_a * radio.antenna_spacing_m
+        angles = np.arange(-theta_lim, theta_lim + 1e-12,
+                           radio.wavelength_m / extent / 2.0)
+        angles = angles[angles <= theta_lim + 1e-12]
     else:
         angles = np.array([0.0])
-    return ranges, angles
+    if angles.size > 1:
+        s_lo, s_hi = -math.sin(theta_lim), math.sin(theta_lim)
+        th_step = float(angles[1] - angles[0])
+    else:
+        s_lo = s_hi = np.sin(angles[0])
+        th_step = 1.0
+    lo = np.array([0.0, s_lo])
+    hi = np.array([params.r_max_m * (1.0 - 1e-12), s_hi])
+    cell = np.array([r_step, th_step])
+    steering = grid_steering(params, ranges, angles)
+    for a in (ranges, angles, steering, lo, hi, cell):
+        a.flags.writeable = False
+    return GridGeometry(params=params, ranges_m=ranges, angles_rad=angles,
+                        steering=steering, lo=lo, hi=hi, cell=cell)
 
 
-def coarse_grid(subspaces: Subspaces, params: SteeringParams, config: RadioConfig,
-                plan: SubarrayPlan,
-                theta_lim_rad: float = DEFAULT_THETA_LIM_RAD) -> SpectrumGrid:
+def coarse_grid(subspaces: Subspaces, grid_config: GridConfig) -> SpectrumGrid:
     """Evaluate the pseudospectrum on the half-resolution coarse grid.
 
     The one builder of coarse grids: detection, the re-grid after each
     cancelation, scoring fallbacks and calibration all come through here.
     """
-    ranges, angles = grid_axes(config, plan, theta_lim_rad)
-    vals = SpectrumEvaluator(subspaces, params).values(ranges, angles)
-    return SpectrumGrid(ranges_m=ranges, angles_rad=angles, values=vals)
+    g = grid_geometry(grid_config)
+    vals = SpectrumEvaluator(subspaces, g.params).values(g.steering)
+    return SpectrumGrid(ranges_m=g.ranges_m, angles_rad=g.angles_rad,
+                        values=vals.reshape(g.ranges_m.size, g.angles_rad.size))
 
 
 def flop_estimate(m: int, q: int) -> int:

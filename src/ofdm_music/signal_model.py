@@ -84,9 +84,10 @@ class TargetScene:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        if self.noise_variance < 0:
+        if not 0 <= self.noise_variance < math.inf:
             raise DomainError(
-                f"noise variance must be nonnegative, got {self.noise_variance}")
+                f"noise variance must be nonnegative and finite, got "
+                f"{self.noise_variance}")
 
 
 @dataclass(frozen=True)

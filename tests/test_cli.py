@@ -10,8 +10,8 @@ import pytest
 import ofdm_music
 from ofdm_music import TargetScene, Target, noise_variance_for_snr, synthesize_csi
 from ofdm_music.cli import main
-from ofdm_music.config import (bundled_config_text, build_run_config,
-                               parse_config_text)
+from ofdm_music.config import (_FLOAT_KEYS, bundled_config_text,
+                               build_run_config, parse_config_text)
 from ofdm_music.errors import ConfigError
 from ofdm_music.presets import baseline_radio
 
@@ -67,6 +67,17 @@ class TestConfigParsing:
             build_run_config(parse_config_text("base_range_max_m = 25\n"))
         cfg = build_run_config(parse_config_text("base_range_max_m = 22.5\n"))
         assert cfg.scenario.base_range_max_m == 22.5
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+    def test_non_finite_float_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=f"key {key} must be finite"):
+            parse_config_text(f"{key} = {raw}\n")
+
+    @pytest.mark.parametrize("deg", ["95", "-10"])
+    def test_theta_limit_outside_quarter_turn_rejected(self, deg):
+        with pytest.raises(ConfigError, match="theta limit"):
+            build_run_config(parse_config_text(f"theta_lim_deg = {deg}\n"))
 
     @pytest.mark.parametrize("key", ["powell_tol", "powell_max_iter", "verbosity"])
     def test_removed_keys_rejected(self, key):
@@ -135,6 +146,19 @@ class TestEstimateCommand:
         det = doc["detections"][0]
         assert det["range_m"] == pytest.approx(12.0, abs=0.1)
         assert det["azimuth_deg"] == pytest.approx(25.0, abs=1.0)
+
+    @pytest.mark.parametrize("line, needle", [
+        ("kappa = nan", "kappa"), ("delta_f = inf", "delta_f"),
+        ("theta_lim_deg = 95", "theta limit")])
+    def test_bad_float_value_exit_2(self, baseline_cfg, tmp_path, capsys, line,
+                                    needle):
+        csi_path = self.write_csi(tmp_path, (), 0.0)
+        baseline_cfg.write_text(baseline_cfg.read_text() + line + "\n")
+        assert main(["estimate", str(csi_path), "--config",
+                     str(baseline_cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert needle in captured.err
 
     def test_malformed_header_exit_2(self, baseline_cfg, tmp_path, capsys):
         bad = tmp_path / "bad.csi"

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from ofdm_music import (DEFAULT_THETA_LIM_RAD, AlreadyCanceledError,
                         SpectrumGrid, Subspaces, Target, TargetScene,
                         cancel_target, cfar_threshold, coarse_grid, covariance,
                         decimated_steering, decompose, detect, generate_trial,
-                        music_value, noise_variance_for_snr, refine_candidates,
+                        grid_geometry, grid_steering, music_value,
+                        noise_variance_for_snr, refine_candidates, run_trial,
                         smooth, steering_params, synthesize_csi)
-from ofdm_music import detection
+from ofdm_music import detection, music
 from ofdm_music.detection import _ascend, empirical_quantile
 from ofdm_music.presets import (baseline_plan, baseline_radio, equal_m_plan,
                                 range_only_plan)
@@ -69,7 +71,8 @@ class TestCfarThreshold:
 
 
 def random_scene(seed, plan=None):
-    """A seeded scene of 1-3 targets at 10-30 dB, decomposed, with its grid."""
+    """A seeded scene of 1-3 targets at 10-30 dB, decomposed, with its grid
+    and grid config."""
     rng = np.random.default_rng(seed)
     targets = tuple(
         Target(float(r), float(th),
@@ -78,7 +81,8 @@ def random_scene(seed, plan=None):
                          np.radians(rng.uniform(-60.0, 60.0, 3))))
     radio, plan, params, subs = pipeline(targets, float(rng.uniform(10, 30)),
                                          noise_seed=seed, plan=plan)
-    return params, subs, coarse_grid(subs, params, radio, plan)
+    gc = GridConfig(radio, plan)
+    return params, subs, coarse_grid(subs, gc), gc
 
 
 def one_hot(grid, i, j):
@@ -123,12 +127,12 @@ class TestRefineCandidates:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_never_below_seed_and_in_bounds(self, seed):
-        params, subs, grid = random_scene(seed)
+        params, subs, grid, gc = random_scene(seed)
         order = np.argsort(-grid.values.ravel(), kind="stable")[:10]
         for idx in order:
             i, j = divmod(int(idx), grid.angles_rad.size)
-            peaks = refine_candidates(subs, params, one_hot(grid, i, j),
-                                      DetectorConfig(), self.LIM, 1)
+            peaks = refine_candidates(subs, gc, one_hot(grid, i, j),
+                                      DetectorConfig(), 1)
             for r, th, v in peaks:
                 assert v >= grid.values[i, j] * (1 - 1e-12)
                 assert 0.0 <= r < params.r_max_m
@@ -136,9 +140,8 @@ class TestRefineCandidates:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_values_are_point_evaluations(self, seed):
-        params, subs, grid = random_scene(seed)
-        peaks = refine_candidates(subs, params, grid, DetectorConfig(), self.LIM,
-                                  10)
+        params, subs, grid, gc = random_scene(seed)
+        peaks = refine_candidates(subs, gc, grid, DetectorConfig(), 10)
         assert peaks
         ev = SpectrumEvaluator(subs, params)
         for r, th, v in peaks:
@@ -146,11 +149,10 @@ class TestRefineCandidates:
 
     def test_degenerate_axis_not_searched(self):
         for seed in range(5):
-            params, subs, grid = random_scene(seed, plan=range_only_plan(
+            params, subs, grid, gc = random_scene(seed, plan=range_only_plan(
                 baseline_radio()))
             assert grid.angles_rad.size == 1
-            peaks = refine_candidates(subs, params, grid, DetectorConfig(),
-                                      self.LIM, 10)
+            peaks = refine_candidates(subs, gc, grid, DetectorConfig(), 10)
             assert peaks
             for r, th, v in peaks:
                 assert th == grid.angles_rad[0]
@@ -161,8 +163,8 @@ class TestRefineCandidates:
         # Seed at (8.5 m, 26 deg): about half a cell off in both dimensions.
         grid = SpectrumGrid(np.array([8.5, 9.39]),
                             np.radians([26.0, 54.6]), np.eye(2))
-        (r, th, v), = refine_candidates(subs, params, grid, DetectorConfig(),
-                                        self.LIM, 1)
+        (r, th, v), = refine_candidates(subs, GridConfig(radio, plan), grid,
+                                        DetectorConfig(), 1)
         assert abs(r - 9.0) < 1e-3
         assert abs(th - math.radians(15)) < 1e-3
 
@@ -189,7 +191,7 @@ class TestRefineCandidates:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_derivatives_match_finite_differences(self, seed):
-        params, subs, _ = random_scene(seed)
+        params, subs, _, _ = random_scene(seed)
         ev = SpectrumEvaluator(subs, params)
         rng = np.random.default_rng(seed)
         r = rng.uniform(1.0, 24.0, 8)
@@ -273,7 +275,8 @@ class TestCancelTarget:
         ev = SpectrumEvaluator(out, params)
         ranges = np.linspace(8.0, 13.0, 161)
         angles = np.radians(np.linspace(-5, 20, 161))
-        vals = ev.values(ranges, angles)
+        vals = ev.values(grid_steering(params, ranges, angles)).reshape(
+            ranges.size, angles.size)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         res_r, res_th = ranges[i], angles[j]
         displacement = math.hypot(res_r - targets[1].range_m,
@@ -311,9 +314,9 @@ class TestDetect:
         from ofdm_music.music import coarse_grid, range_resolution
         cfg = DetectorConfig()
         report = detect(subs, params, GridConfig(radio, plan), cfg)
-        grid = coarse_grid(subs, params, radio, plan)
-        radius_r = cfg.merge_radius[0] * 2 * grid.range_step()
-        radius_th = cfg.merge_radius[1] * 2 * grid.angle_step()
+        cell = grid_geometry(GridConfig(radio, plan)).cell
+        radius_r = cfg.merge_radius[0] * 2 * cell[0]
+        radius_th = cfg.merge_radius[1] * 2 * cell[1]
         dets = [d for d in report.detections if d.iteration == 0]
         for i in range(len(dets)):
             for j in range(i + 1, len(dets)):
@@ -437,16 +440,14 @@ def detect_loop_reference(subspaces, params, grid_config, det_config):
     completed the basis, and marks the report saturated whenever rounding
     noise on that spectrum beats the threshold.
     """
-    radio, plan = grid_config.radio, grid_config.plan
-    theta_lim = grid_config.theta_lim_rad
-    grid = coarse_grid(subspaces, params, radio, plan, theta_lim)
+    grid = coarse_grid(subspaces, grid_config)
     gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
     spectra = 1
     if subspaces.noise_basis.shape[1] >= subspaces.noise_basis.shape[0]:
         return DetectionReport(detections=(), threshold_used=gamma,
                                routine=det_config.routine, spectra_computed=spectra)
     if det_config.routine is Routine.OFF:
-        merged = refine_candidates(subspaces, params, grid, det_config, theta_lim,
+        merged = refine_candidates(subspaces, grid_config, grid, det_config,
                                    det_config.n_seeds)
         dets = [Detection(r, th, val, 0) for r, th, val in merged if val >= gamma]
         return DetectionReport(detections=tuple(dets), threshold_used=gamma,
@@ -457,10 +458,10 @@ def detect_loop_reference(subspaces, params, grid_config, det_config):
     saturated = False
     for iteration in range(det_config.max_iterations):
         if iteration > 0:
-            grid = coarse_grid(current, params, radio, plan, theta_lim)
+            grid = coarse_grid(current, grid_config)
             spectra += 1
             gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
-        merged = refine_candidates(current, params, grid, det_config, theta_lim,
+        merged = refine_candidates(current, grid_config, grid, det_config,
                                    det_config.n_seeds)
         survivors = [p for p in merged if p[2] >= gamma]
         if not survivors:
@@ -546,7 +547,7 @@ class TestDetectLoop:
         assert [d.iteration for d in report.detections] == [0, 0]
         assert report.spectra_computed == 1
         assert report.saturated is False
-        grid = coarse_grid(subs, params, radio, plan)
+        grid = coarse_grid(subs, GridConfig(radio, plan))
         assert report.threshold_used == cfar_threshold(grid, dc.p_fa, dc.kappa)
 
     def test_uncancelable_survivor_saturates(self):
@@ -735,6 +736,125 @@ class TestAscend:
         assert evaluated <= 0.5 * budget
 
 
+def coarse_grid_reference(subspaces, params, config, plan,
+                          theta_lim_rad=DEFAULT_THETA_LIM_RAD):
+    """The coarse grid as built before its geometry was kept per grid config.
+
+    Every call derives the axes, the phase ramps and the grid steering
+    vectors again before projecting them.
+    """
+    r_step = music.range_resolution(config, plan) / 2.0
+    ranges = np.arange(0.0, music.unambiguous_range(config, plan), r_step)
+    if plan.n_sub_a > 1:
+        extent = (plan.n_sub_a - 1) * plan.decim_a * config.antenna_spacing_m
+        th_step = (config.wavelength_m / extent) / 2.0
+        angles = np.arange(-theta_lim_rad, theta_lim_rad + 1e-12, th_step)
+        angles = angles[angles <= theta_lim_rad + 1e-12]
+    else:
+        angles = np.array([0.0])
+    noise_h = np.ascontiguousarray(subspaces.noise_basis.conj().T)
+    i = np.repeat(np.arange(params.n_sub_f), params.n_sub_a)
+    j = np.tile(np.arange(params.n_sub_a), params.n_sub_f)
+    ramp_r = params.phi_f * (2.0 / params.speed_of_light_m_s) * i
+    ramp_theta = params.phi_a * j
+    sin_th = np.sin(angles)
+    phases = ranges[:, np.newaxis, np.newaxis] * ramp_r \
+        + sin_th[np.newaxis, :, np.newaxis] * ramp_theta
+    v = np.exp(1j * phases.reshape(-1, ramp_r.size))
+    proj = noise_h @ v.T
+    den = np.sum(np.abs(proj) ** 2, axis=0)
+    clamp = music.MUSIC_VALUE_CLAMP
+    with np.errstate(divide="ignore"):
+        vals = np.where(den <= 1.0 / clamp, clamp,
+                        np.minimum(1.0 / np.maximum(den, 1e-300), clamp))
+    return SpectrumGrid(ranges, angles, vals.reshape(ranges.size, angles.size))
+
+
+def refine_box_reference(params, grid, theta_lim_rad):
+    """(lo, hi, cell) as ``refine_candidates`` derived them from its grid."""
+    r_hi = params.r_max_m * (1.0 - 1e-12)
+    r_step = float(grid.ranges_m[1] - grid.ranges_m[0])
+    if grid.angles_rad.size > 1:
+        s_lim = math.sin(theta_lim_rad)
+        return (np.array([0.0, -s_lim]), np.array([r_hi, s_lim]),
+                np.array([r_step, float(grid.angles_rad[1] - grid.angles_rad[0])]))
+    s0 = np.sin(grid.angles_rad)[0]
+    return np.array([0.0, s0]), np.array([r_hi, s0]), np.array([r_step, 1.0])
+
+
+class TestGridGeometry:
+    LIMITS = (DEFAULT_THETA_LIM_RAD, math.radians(45.0), 0.0)
+
+    @pytest.mark.parametrize("plan_name", sorted(TestDetectLoop.PLANS))
+    def test_grids_match_reference_before_and_after_cancelations(self,
+                                                                 plan_name):
+        # 30 seeded two-target scenes per plan: the grid of the decomposed
+        # scene and of every cancelation that detect made, bit for bit.
+        grids = 0
+        for subs, params, gc in two_target_scenes(plan_name, 30):
+            report = detect(subs, params, gc, DetectorConfig())
+            current = subs
+            for det in (None,) + report.detections:
+                if det is not None:
+                    current = cancel_target(current, params, det)
+                for lim in self.LIMITS[:2]:
+                    g = GridConfig(gc.radio, gc.plan, lim)
+                    got = coarse_grid(current, g)
+                    want = coarse_grid_reference(current, params, g.radio,
+                                                 g.plan, lim)
+                    assert got.ranges_m.tobytes() == want.ranges_m.tobytes()
+                    assert got.angles_rad.tobytes() == want.angles_rad.tobytes()
+                    assert got.values.tobytes() == want.values.tobytes()
+                    grids += 1
+        assert grids >= 120
+
+    @pytest.mark.parametrize("plan_name", sorted(TestDetectLoop.PLANS))
+    def test_refine_box_matches_reference(self, plan_name):
+        subs, params, gc = next(two_target_scenes(plan_name, 1))
+        for lim in self.LIMITS:
+            geometry = grid_geometry(GridConfig(gc.radio, gc.plan, lim))
+            want = refine_box_reference(params, coarse_grid_reference(
+                subs, params, gc.radio, gc.plan, lim), lim)
+            got = (geometry.lo, geometry.hi, geometry.cell)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert geometry.params == params
+
+    def test_twenty_trials_build_the_steering_once(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return grid_steering(*args)
+
+        monkeypatch.setattr(music, "grid_steering", counted)
+        music.grid_geometry.cache_clear()
+        radio = baseline_radio()
+        plan = baseline_plan(radio)
+        spec = ScenarioSpec(n_trials=20, snr_db=15.0, base_range_max_m=22.5,
+                            rng_seed=4)
+        for t in range(20):
+            run_trial(radio, plan, DetectorConfig(),
+                      generate_trial(spec, radio, t, 1.0), 100 + t)
+        assert len(built) == 1
+
+    def test_arrays_are_read_only(self):
+        geometry = grid_geometry(GridConfig(baseline_radio(), baseline_plan()))
+        assert geometry.steering.shape == (45, 29 * 5)
+        for a in (geometry.steering, geometry.ranges_m, geometry.angles_rad,
+                  geometry.lo, geometry.hi, geometry.cell):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            geometry.steering[0, 0] = 0.0
+
+    def test_memo_leaves_the_config_record_alone(self):
+        gc = GridConfig(baseline_radio(), baseline_plan())
+        before = pickle.dumps(gc)
+        geometry = grid_geometry(gc)
+        assert pickle.dumps(gc) == before
+        # An equal record, as a pool worker unpickles it, shares the entry.
+        assert grid_geometry(pickle.loads(before)) is geometry
+
+
 class TestDetectorConfig:
     def test_p_fa_bounds(self):
         with pytest.raises(ConfigError):
@@ -752,3 +872,14 @@ class TestDetectorConfig:
         assert Routine.from_string(" Multiple ") is Routine.MULTIPLE
         with pytest.raises(ConfigError):
             Routine.from_string("both")
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, 0.0])
+    def test_kappa_positive_and_finite(self, kappa):
+        # NaN made estimate print "gamma": NaN; inf gated out every target.
+        with pytest.raises(ConfigError, match="kappa"):
+            DetectorConfig(kappa=kappa)
+
+    @pytest.mark.parametrize("radius", [(-0.1, 0.25), (0.25, math.nan)])
+    def test_merge_radius_nonnegative(self, radius):
+        with pytest.raises(ConfigError, match="merge_radius"):
+            DetectorConfig(merge_radius=radius)

@@ -5,12 +5,12 @@ import pytest
 from scipy import stats
 
 from ofdm_music import (ConfigError, Detection, DetectionReport, DetectorConfig,
-                        DomainError, Routine, ScenarioSpec, ScoringContext,
+                        DomainError, GridConfig, Routine, ScenarioSpec,
+                        ScoringContext,
                         Target, TargetScene, assign_and_score, calibrate_kappa,
                         covariance, decompose, generate_trial, make_plan,
                         noise_variance_for_snr, run_sweep, run_trial, smooth,
-                        steering_params, synthesize_csi, trimmed_rmse,
-                        write_sweep_outputs)
+                        synthesize_csi, trimmed_rmse, write_sweep_outputs)
 from ofdm_music import harness
 from ofdm_music.presets import baseline_plan, baseline_radio
 
@@ -97,6 +97,24 @@ class TestGenerateTrial:
         scene = generate_trial(spec, small_radio(n=16, k=2), 0, 0.0)
         th = [math.degrees(t.azimuth_rad) for t in scene.targets]
         assert abs(th[0] - th[1]) >= 110.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("min_angle_sep_deg", math.nan),
+        ("snr_db", math.nan), ("snr_db", math.inf), ("snr_db", -math.inf),
+        ("base_range_max_m", math.nan), ("base_range_max_m", math.inf),
+        ("range_diffs_m", (0.0, math.nan)), ("range_diffs_m", (math.inf,)),
+        ("angle_range_deg", (math.nan, 60.0)),
+        ("angle_range_deg", (-60.0, math.nan)),
+        ("angle_range_deg", (-math.inf, 60.0)),
+        ("angle_range_deg", (-95.0, 60.0)), ("angle_range_deg", (-60.0, 90.0)),
+    ])
+    def test_non_finite_or_out_of_domain_rejected(self, field, value):
+        # A NaN separation used to pass the span check and make
+        # generate_trial loop forever; a NaN SNR ran noiseless, and an
+        # azimuth bound past 90 deg failed mid-sweep. Only the constructor
+        # runs here, so a missing check fails instead of hanging.
+        with pytest.raises(ConfigError):
+            spec_with(**{field: value})
 
     def test_free_placement_sorted(self):
         radio = small_radio(n=16, k=2)
@@ -189,7 +207,7 @@ class TestAssignAndScore:
         sigma2 = noise_variance_for_snr(scene0, radio, 20.0)
         csi = synthesize_csi(radio, TargetScene(targets, sigma2), 5)
         subs = decompose(covariance(smooth(csi, plan)))
-        return ScoringContext(subs, steering_params(radio, plan), radio, plan)
+        return ScoringContext(subs, GridConfig(radio, plan))
 
     def test_fallback_grid_estimates(self):
         # zero detections: target 1 takes the plain grid maximum (wherever it

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ofdm_music import (DomainError, NumericalError, SampleCovariance, SpectrumEvaluator, Subspaces,
+from ofdm_music import (ConfigError, DomainError, GridConfig, NumericalError, SampleCovariance, SpectrumEvaluator, Subspaces,
                         Target, TargetScene, coarse_grid, covariance,
-                        decimated_steering, decompose, flop_estimate, grid_axes,
+                        decimated_steering, decompose, flop_estimate,
+                        grid_geometry, grid_steering,
                         mdl_order, music_value, noise_variance_for_snr,
                         range_resolution, sample_subarray, smooth, steering_params,
                         synthesize_csi, unambiguous_range)
@@ -248,7 +249,8 @@ class TestMusicValue:
             assert ev.value(r, th) == pytest.approx(direct, rel=1e-12)
         ranges = np.linspace(0.0, 24.0, 7)
         angles = np.linspace(-1.0, 1.0, 5)
-        grid_vals = ev.values(ranges, angles)
+        grid_vals = ev.values(grid_steering(params, ranges, angles)).reshape(
+            ranges.size, angles.size)
         for i, r in enumerate(ranges):
             for j, th in enumerate(angles):
                 assert grid_vals[i, j] == pytest.approx(ev.value(r, th), rel=1e-10)
@@ -275,7 +277,8 @@ class TestResolutionAndGrid:
     def test_grid_axes_domain(self):
         cfg = baseline_radio()
         plan = baseline_plan(cfg)
-        ranges, angles = grid_axes(cfg, plan, math.radians(60))
+        geometry = grid_geometry(GridConfig(cfg, plan, math.radians(60)))
+        ranges, angles = geometry.ranges_m, geometry.angles_rad
         assert ranges[0] == 0.0
         assert ranges[-1] < 25.0
         assert np.diff(ranges) == pytest.approx(range_resolution(cfg, plan) / 2)
@@ -285,7 +288,7 @@ class TestResolutionAndGrid:
         cfg = baseline_radio()
         plan = baseline_plan(cfg)
         subs = decomposed_scene(cfg, plan, (Target(8.0, 0.1, 0.02 + 0j),), 10.0)
-        grid = coarse_grid(subs, steering_params(cfg, plan), cfg, plan)
+        grid = coarse_grid(subs, GridConfig(cfg, plan))
         assert np.all(grid.values >= 0)
         assert np.all(np.isfinite(grid.values))
 
@@ -293,7 +296,7 @@ class TestResolutionAndGrid:
         cfg = baseline_radio()
         from ofdm_music import make_plan
         plan = make_plan(cfg, 1401, 1, 100, 1, 1, 1)
-        _, angles = grid_axes(cfg, plan)
+        angles = grid_geometry(GridConfig(cfg, plan)).angles_rad
         assert angles.tolist() == [0.0]
 
     def test_peak_dominates_far_grid_points(self):
@@ -304,7 +307,7 @@ class TestResolutionAndGrid:
         params = steering_params(cfg, plan)
         r0, th0 = 10.0, math.radians(20)
         subs = decomposed_scene(cfg, plan, (Target(r0, th0, 0.01 + 0j),), 120.0)
-        grid = coarse_grid(subs, params, cfg, plan)
+        grid = coarse_grid(subs, GridConfig(cfg, plan))
         peak = SpectrumEvaluator(subs, params).value(r0, th0)
         dr = range_resolution(cfg, plan)
         dth = 2 * (grid.angles_rad[1] - grid.angles_rad[0])
@@ -349,6 +352,23 @@ class TestResolutionAndGrid:
             scale = v_far[0] / v_near[0]
             assert abs(abs(scale) - 1.0) < 1e-12
             assert v_far == pytest.approx(v_near * scale, rel=1e-10)
+
+
+class TestGridConfig:
+    @pytest.mark.parametrize("deg", [95.0, -10.0, math.nan, math.inf])
+    def test_theta_limit_outside_quarter_turn_rejected(self, deg):
+        # 95 deg sampled the grid past 90 deg; -10 deg failed later with
+        # "cannot derive a threshold from an empty grid".
+        with pytest.raises(ConfigError, match="theta limit"):
+            GridConfig(baseline_radio(), baseline_plan(), math.radians(deg))
+
+    @pytest.mark.parametrize("lim", [0.0, math.pi / 2])
+    def test_theta_limit_bounds_accepted(self, lim):
+        geometry = grid_geometry(GridConfig(baseline_radio(), baseline_plan(),
+                                            lim))
+        assert np.abs(geometry.angles_rad).max() <= lim + 1e-9
+        assert geometry.steering.shape[1] == \
+            geometry.ranges_m.size * geometry.angles_rad.size
 
 
 class TestFlopEstimate:

@@ -98,6 +98,13 @@ class TestSteeringRange:
         assert np.conj(v) * v == pytest.approx(np.ones(64), abs=1e-12)
 
 
+class TestTargetScene:
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_noise_variance_nonnegative_and_finite(self, bad):
+        with pytest.raises(DomainError, match="noise variance"):
+            TargetScene((), bad)
+
+
 class TestSynthesize:
     def test_empty_noiseless_is_zero(self):
         cfg = small_radio()
