@@ -20,8 +20,8 @@ from .presets import (baseline_plan, baseline_radio, equal_m_plan,
 from .signal_model import (SPEED_OF_LIGHT, CsiMatrix, RadioConfig, Target,
                            TargetScene, csi_from_symbols, scene_coefficient,
                            steering_angle, steering_range, synthesize_csi)
-from .smoothing import (SampleCovariance, SmoothedCsi, SubarrayPlan, covariance,
-                        make_plan, sample_subarray, smooth, subarray_indices,
+from .smoothing import (SampleCovariance, SubarrayPlan, covariance, make_plan,
+                        sample_subarray, smooth, subarray_indices,
                         subarray_offsets)
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_run_config
 from .detection import Routine, detect
-from .errors import ConfigError, NumericalError, OfdmMusicError
+from .errors import ConfigError, OfdmMusicError
 from .harness import calibrate_kappa, run_sweep, write_sweep_outputs
 from .music import GridConfig, decompose, flop_estimate, grid_geometry
 from .signal_model import CsiMatrix
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError, OfdmMusicError) as exc:
+    except (np.linalg.LinAlgError, OfdmMusicError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

@@ -340,7 +340,12 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
     survivor met after that point in the same iteration cannot be canceled
     and marks the report ``saturated``. The ``off`` routine reports the
     survivors of iteration 0 in merge order and cancels none.
+
+    ``params`` must be the steering parameters of ``grid_config``: plans of
+    equal sub-array size would otherwise cancel the wrong steering vectors.
     """
+    if params != grid_geometry(grid_config).params:
+        raise ConfigError("steering parameters do not match the grid config")
     grid = coarse_grid(subspaces, grid_config)
     gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
     spectra = 1

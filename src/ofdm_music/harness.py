@@ -12,6 +12,8 @@ missing estimate.
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import json
 import logging
 import math
@@ -203,20 +205,18 @@ def assign_and_score(truth, report: DetectionReport,
     if r1 > r2:
         raise DomainError("truth must be ordered with target 1 nearer the array")
     dets = report.detections
+    if len(dets) < 2 and context is None:
+        raise ConfigError("missed-detection scoring requires a ScoringContext")
     if len(dets) >= 2:
         strongest = sorted(dets, key=lambda d: -d.spectrum_value)[:2]
         near, far = sorted(strongest, key=lambda d: d.range_m)
         est1, est2 = (near.range_m, near.azimuth_rad), (far.range_m, far.azimuth_rad)
         missed = (False, False)
     elif len(dets) == 1:
-        if context is None:
-            raise ConfigError("missed-detection scoring requires a ScoringContext")
         est1 = (dets[0].range_m, dets[0].azimuth_rad)
         est2 = context.residual_argmax([est1])
         missed = (False, True)
     else:
-        if context is None:
-            raise ConfigError("missed-detection scoring requires a ScoringContext")
         est1 = context.grid_argmax()
         est2 = context.residual_argmax([est1])
         missed = (True, True)
@@ -227,25 +227,15 @@ def assign_and_score(truth, report: DetectionReport,
 
 
 def trimmed_rmse(errors, trim: float = 0.01) -> float:
-    """RMSE after dropping floor(trim * n) largest and smallest absolute errors."""
+    """RMSE after dropping floor(trim * n) largest and smallest absolute errors
+    (none below 1 / trim samples: the plain RMSE)."""
     a = np.sort(np.abs(np.asarray(errors, dtype=float)))
     n = a.size
-    if n < 3:
-        raise DomainError(f"trimmed RMSE needs at least 3 samples, got {n}")
+    if n < 1:
+        raise DomainError("RMSE of no samples")
     k = int(math.floor(trim * n))
     kept = a[k:n - k] if k > 0 else a
     return float(np.sqrt(np.mean(kept ** 2)))
-
-
-def _rmse(errors) -> float:
-    """Trimmed RMSE, or the identical untrimmed value for tiny samples.
-
-    Below 100 samples the 1% trim count is zero anyway; this keeps smoke runs
-    with one or two trials per sweep point working.
-    """
-    if len(errors) < 3:
-        return float(np.sqrt(np.mean(np.abs(np.asarray(errors, float)) ** 2)))
-    return trimmed_rmse(errors)
 
 
 def run_trial(radio: RadioConfig, plan: SubarrayPlan, det_config: DetectorConfig,
@@ -264,15 +254,49 @@ def run_trial(radio: RadioConfig, plan: SubarrayPlan, det_config: DetectorConfig
     return assign_and_score(truth, report, ctx, score_angle=plan.n_sub_a > 1)
 
 
+def _openblas_function(name: str):
+    """The OpenBLAS function ``name`` (say ``"set_num_threads"``) of the
+    library bundled with numpy, or None where there is none."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                       "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_",
+                       f"openblas_{name}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _pin_blas_threads() -> None:
+    """Pool-worker initializer: one OpenBLAS thread per worker process.
+
+    A forked worker inherits the parent's BLAS thread count, so N workers
+    would each run one BLAS thread per core and contend for them. Threads
+    set by the user through OPENBLAS_NUM_THREADS or OMP_NUM_THREADS are
+    left as they are.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    set_threads = _openblas_function("set_num_threads")
+    if set_threads is not None:
+        set_threads(1)
+
+
 @contextmanager
 def _trial_map(n_workers: int):
     """Yield ``map_trials(fn, job, n_trials)``, backed by one pool per block.
 
     ``map_trials`` returns ``[fn(job, t) for t in range(n_trials)]`` in trial
     order. With more than one worker every call shares a single process
-    pool, opened on entry and shut down on exit.
+    pool, opened on entry and shut down on exit; its workers run OpenBLAS on
+    one thread each.
     """
-    with (ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1
+    with (ProcessPoolExecutor(max_workers=n_workers,
+                              initializer=_pin_blas_threads) if n_workers > 1
           else nullcontext()) as pool:
         def map_trials(fn, job, n_trials: int) -> list:
             if pool is None:
@@ -330,11 +354,11 @@ def run_sweep(spec: ScenarioSpec, radio: RadioConfig, plan: SubarrayPlan,
             n_targets = 1 if first_target_only else 2
             range_errors = [errs[q][0] for errs, _ in results
                             for q in range(n_targets)]
-            rmse_r.append(_rmse(range_errors))
+            rmse_r.append(trimmed_rmse(range_errors))
             if plan.n_sub_a > 1:
                 angle_errors = [math.degrees(errs[q][1])
                                 for errs, _ in results for q in range(n_targets)]
-                rmse_th.append(_rmse(angle_errors))
+                rmse_th.append(trimmed_rmse(angle_errors))
             else:
                 rmse_th.append(math.nan)
             logger.info("sweep point %s/%s (x=%s): p_missed=%.4f rmse_r=%.4f",
@@ -348,14 +372,14 @@ def run_sweep(spec: ScenarioSpec, radio: RadioConfig, plan: SubarrayPlan,
 class _CalibrationJob:
     grid: GridConfig
     det_config: DetectorConfig
-    noise_variance: float
     rng_seed: int
 
 
 def _calibration_pivot(job: _CalibrationJob, trial_index: int) -> float:
     g = job.grid
     seed = _sub_seed(job.rng_seed, _CALIBRATION_TAG, trial_index)
-    scene = TargetScene(targets=(), noise_variance=job.noise_variance)
+    # Unit variance: MDL and the pivot ratio do not depend on the noise scale.
+    scene = TargetScene(targets=(), noise_variance=1.0)
     csi = synthesize_csi(g.radio, scene, seed)
     subs = decompose(covariance(smooth(csi, g.plan)))
     if subs.order_estimate == 0:
@@ -372,7 +396,7 @@ def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
                     det_config: DetectorConfig,
                     theta_lim_rad: float = DEFAULT_THETA_LIM_RAD,
                     n_trials: int = 1000, rng_seed: int = 0,
-                    noise_variance: float = 1.0, n_workers: int = 1) -> float:
+                    n_workers: int = 1) -> float:
     """Noise-only calibration of the CFAR scale factor kappa.
 
     Each noise-only trial yields the pivot (strongest refined peak) /
@@ -383,8 +407,7 @@ def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     job = _CalibrationJob(grid=GridConfig(radio, plan, theta_lim_rad),
-                          det_config=det_config, noise_variance=noise_variance,
-                          rng_seed=rng_seed)
+                          det_config=det_config, rng_seed=rng_seed)
     with _trial_map(n_workers) as map_trials:
         pivots = map_trials(_calibration_pivot, job, n_trials)
     return max(1.0, empirical_quantile(pivots, 1.0 - det_config.p_fa))

@@ -153,7 +153,11 @@ def decimated_steering(params: SteeringParams, r: float, theta: float) -> np.nda
 
 def music_value(subspaces: Subspaces, steering: np.ndarray) -> float:
     """Pseudospectrum value 1 / ||U_N^H v||^2, clamped at 1e18."""
-    proj = subspaces.noise_basis.conj().T @ steering
+    return _clamped_inverse(subspaces.noise_basis.conj().T @ steering)
+
+
+def _clamped_inverse(proj: np.ndarray) -> float:
+    """1 / ||proj||^2, clamped at ``MUSIC_VALUE_CLAMP``."""
     den = float(np.real(np.vdot(proj, proj)))
     if den <= 1.0 / MUSIC_VALUE_CLAMP:
         return MUSIC_VALUE_CLAMP
@@ -202,11 +206,7 @@ class SpectrumEvaluator:
 
     def value(self, r: float, theta: float) -> float:
         v = np.exp(1j * (r * self._ramp_r + math.sin(theta) * self._ramp_theta))
-        proj = self._noise_h @ v
-        den = float(np.real(np.vdot(proj, proj)))
-        if den <= 1.0 / MUSIC_VALUE_CLAMP:
-            return MUSIC_VALUE_CLAMP
-        return min(1.0 / den, MUSIC_VALUE_CLAMP)
+        return _clamped_inverse(self._noise_h @ v)
 
     def values(self, steering: np.ndarray) -> np.ndarray:
         """Values at the steering vectors that are the columns of ``steering``."""

@@ -25,12 +25,7 @@ COEFF_REF_RANGE_M = 1.0
 
 @dataclass(frozen=True)
 class RadioConfig:
-    """OFDM numerology plus receive ULA geometry.
-
-    ``wavelength_m`` may be passed explicitly; if left at 0 it is derived as
-    c / f_c. Either way it must satisfy wavelength * f_c == c to 1e-9
-    relative.
-    """
+    """OFDM numerology plus receive ULA geometry; the wavelength is c / f_c."""
 
     n_subcarriers: int
     subcarrier_spacing_hz: float
@@ -38,7 +33,6 @@ class RadioConfig:
     n_antennas: int
     antenna_spacing_m: float
     speed_of_light_m_s: float = SPEED_OF_LIGHT
-    wavelength_m: float = 0.0
 
     def __post_init__(self):
         if self.n_subcarriers < 1:
@@ -47,16 +41,14 @@ class RadioConfig:
             raise ConfigError(f"n_antennas must be >= 1, got {self.n_antennas}")
         for name in ("subcarrier_spacing_hz", "carrier_freq_hz", "antenna_spacing_m",
                      "speed_of_light_m_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.wavelength_m == 0.0:
-            object.__setattr__(self, "wavelength_m",
-                               self.speed_of_light_m_s / self.carrier_freq_hz)
-        rel = abs(self.wavelength_m * self.carrier_freq_hz - self.speed_of_light_m_s)
-        rel /= self.speed_of_light_m_s
-        if rel > 1e-9:
-            raise ConfigError(
-                f"wavelength * carrier frequency deviates from c by {rel:.2e} relative")
+            # Written so that NaN fails it.
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}")
+
+    @property
+    def wavelength_m(self) -> float:
+        return self.speed_of_light_m_s / self.carrier_freq_hz
 
 
 @dataclass(frozen=True)

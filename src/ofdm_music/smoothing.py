@@ -91,20 +91,6 @@ class SubarrayPlan:
 
 
 @dataclass(frozen=True)
-class SmoothedCsi:
-    """M x L matrix whose columns are the vectorized sub-arrays."""
-
-    data: np.ndarray
-    plan: SubarrayPlan
-
-    def __post_init__(self):
-        expected = (self.plan.samples_per_subarray, self.plan.n_subarrays)
-        if self.data.shape != expected:
-            raise ConfigError(
-                f"smoothed CSI shape {self.data.shape} does not match plan {expected}")
-
-
-@dataclass(frozen=True)
 class SampleCovariance:
     """Hermitian M x M sample covariance plus the snapshot count behind it."""
 
@@ -151,7 +137,7 @@ def sample_subarray(csi: CsiMatrix, plan: SubarrayPlan, ell: int) -> np.ndarray:
     return csi.data[ant, sub]
 
 
-def smooth(csi: CsiMatrix, plan: SubarrayPlan) -> SmoothedCsi:
+def smooth(csi: CsiMatrix, plan: SubarrayPlan) -> np.ndarray:
     """Stack all L sampled sub-array vectors as columns of an M x L matrix."""
     _check_dims(csi, plan)
     n = plan.n_subcarriers
@@ -163,15 +149,15 @@ def smooth(csi: CsiMatrix, plan: SubarrayPlan) -> SmoothedCsi:
     sub_run = np.arange(plan.n_sub_f) * plan.decim_f
     element = (sub_run[:, np.newaxis] + ant_run[np.newaxis, :]).ravel()
     flat = element[:, np.newaxis] + offsets[np.newaxis, :]   # (M, L)
-    return SmoothedCsi(data=np.take(csi.data, flat), plan=plan)
+    return np.take(csi.data, flat)
 
 
-def covariance(smoothed: SmoothedCsi) -> SampleCovariance:
-    """Sample covariance (1/M) * C~ C~^H, symmetrized to be exactly Hermitian."""
-    c = smoothed.data
-    r = c @ c.conj().T / smoothed.plan.samples_per_subarray
+def covariance(smoothed: np.ndarray) -> SampleCovariance:
+    """(1/M) * C~ C~^H of the M x L smoothed CSI matrix C~, exactly Hermitian."""
+    m, n_snapshots = smoothed.shape
+    r = smoothed @ smoothed.conj().T / m
     r = (r + r.conj().T) / 2.0
-    return SampleCovariance(matrix=r, n_snapshots=smoothed.plan.n_subarrays)
+    return SampleCovariance(matrix=r, n_snapshots=n_snapshots)
 
 
 def _check_dims(csi: CsiMatrix, plan: SubarrayPlan) -> None:

@@ -301,6 +301,16 @@ class TestDetect:
         assert got[1][0] == pytest.approx(14.0, abs=0.05)
         assert got[1][1] == pytest.approx(20.0, abs=1.0)
 
+    def test_params_of_another_plan_rejected(self):
+        # equal_m_plan(50) has the baseline's M = 45 but other steering phases
+        radio, plan, params, subs = self.two_target_setup()
+        other = steering_params(radio, equal_m_plan(50, radio))
+        with pytest.raises(ConfigError, match="steering parameters"):
+            detect(subs, other, GridConfig(radio, plan), DetectorConfig())
+        # equal parameters built apart from the grid geometry are accepted
+        assert params is not grid_geometry(GridConfig(radio, plan)).params
+        detect(subs, params, GridConfig(radio, plan), DetectorConfig())
+
     def test_gate_soundness(self):
         radio, plan, params, subs = self.two_target_setup()
         for routine in Routine:

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -268,9 +270,14 @@ class TestTrimmedRmse:
         errors = [0.1] * 99 + [1000.0]
         assert trimmed_rmse(errors) == pytest.approx(0.1)
 
-    def test_too_few_samples(self):
+    @pytest.mark.parametrize("errors", [[-0.3], [0.25, -1.5]])
+    def test_tiny_samples_give_the_plain_rmse(self, errors):
+        a = np.asarray(errors)
+        assert trimmed_rmse(errors) == float(np.sqrt(np.mean(a ** 2)))
+
+    def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            trimmed_rmse([1.0, 2.0])
+            trimmed_rmse([])
 
 
 class TestRunSweep:
@@ -360,13 +367,53 @@ class TestRunSweep:
         assert doc["summary"]["n_trials"] == 2
 
 
+def blas_threads_in_worker(_job, _trial):
+    time.sleep(0.05)   # holds the worker, so that both workers take trials
+    return os.getpid(), harness._openblas_function("get_num_threads")()
+
+
+class TestBlasPin:
+    @pytest.fixture
+    def two_blas_threads(self):
+        """Run the parent on two OpenBLAS threads, which a fork inherits."""
+        get = harness._openblas_function("get_num_threads")
+        set_threads = harness._openblas_function("set_num_threads")
+        if get is None or set_threads is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        before = get()
+        set_threads(2)
+        if get() != 2:
+            set_threads(before)
+            pytest.skip("OpenBLAS does not run two threads here")
+        yield
+        set_threads(before)
+
+    def worker_threads(self):
+        with harness._trial_map(2) as map_trials:
+            seen = set(map_trials(blas_threads_in_worker, None, 8))
+        assert len({pid for pid, _ in seen}) == 2
+        return {threads for _, threads in seen}
+
+    def test_each_worker_runs_one_thread(self, monkeypatch, two_blas_threads):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert self.worker_threads() == {1}
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_user_setting_kept(self, monkeypatch, two_blas_threads, var):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv(var, "2")
+        assert self.worker_threads() == {2}
+
+
 class TestCalibrateKappa:
     def test_one_pool_and_worker_invariant(self, pool_starts):
         # 8 snapshots of 27 samples: MDL overestimates the order on noise, so
         # the pivots are nonzero and kappa is not the trivial 1.0
         radio = small_radio(n=12, k=4)
         plan = make_plan(radio, 9, 3, 1, 1, 1, 1)
-        kw = dict(n_trials=20, rng_seed=4, noise_variance=1.0)
+        kw = dict(n_trials=20, rng_seed=4)
         parallel = calibrate_kappa(radio, plan, DetectorConfig(), n_workers=2, **kw)
         assert pool_starts == [2]
         assert parallel > 1.0

@@ -136,16 +136,16 @@ class TestSmooth:
         plan = make_plan(cfg, 6, 3, 1, 1, 1, 1)
         data = np.arange(18, dtype=complex).reshape(3, 6)
         sm = smooth(CsiMatrix(data, cfg), plan)
-        assert sm.data.shape == (18, 1)
+        assert sm.shape == (18, 1)
         # antenna index varies fastest within the vectorized sub-array
-        assert np.array_equal(sm.data[:, 0], data.T.ravel())
+        assert np.array_equal(sm[:, 0], data.T.ravel())
 
     def test_baseline_shape(self):
         rng = np.random.default_rng(0)
         cfg = baseline_radio()
         data = rng.normal(size=(4, 1500)) + 1j * rng.normal(size=(4, 1500))
         sm = smooth(CsiMatrix(data, cfg), baseline_plan(cfg))
-        assert sm.data.shape == (45, 200)
+        assert sm.shape == (45, 200)
 
     def test_columns_match_sample_subarray(self):
         cfg = small_radio(n=48, k=4)
@@ -155,8 +155,7 @@ class TestSmooth:
                         cfg)
         sm = smooth(csi, plan)
         for ell in rng.integers(0, plan.n_subarrays, 10):
-            assert np.array_equal(sm.data[:, ell], sample_subarray(csi, plan,
-                                                                   int(ell)))
+            assert np.array_equal(sm[:, ell], sample_subarray(csi, plan, int(ell)))
 
     def test_alternating_plans_return_independent_arrays(self):
         cfg = small_radio(n=48, k=4)
@@ -168,11 +167,11 @@ class TestSmooth:
         for i in range(6):
             plan = plans[i % 2]
             sm = smooth(csi, plan)
-            assert sm.data.flags.c_contiguous and sm.data.flags.owndata
+            assert sm.flags.c_contiguous and sm.flags.owndata
             for ell in range(plan.n_subarrays):
-                assert np.array_equal(sm.data[:, ell],
+                assert np.array_equal(sm[:, ell],
                                       sample_subarray(csi, plan, ell))
-            sm.data[...] = np.nan   # must not reach the CSI or a later result
+            sm[...] = np.nan   # must not reach the CSI or a later result
         assert np.array_equal(csi.data, before)
 
 
@@ -184,7 +183,7 @@ class TestCovariance:
         csi = CsiMatrix(rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6)), cfg)
         sm = smooth(csi, plan)
         cov = covariance(sm)
-        v = sm.data[:, 0]
+        v = sm[:, 0]
         assert cov.matrix == pytest.approx(np.outer(v, v.conj()) / 18, rel=1e-12)
         w = np.linalg.eigvalsh(cov.matrix)[::-1]
         assert np.sum(w > 1e-9 * w[0]) == 1
@@ -201,6 +200,15 @@ class TestCovariance:
         w = np.linalg.eigvalsh(cov.matrix)
         assert w.min() >= -1e-9 * w.max()
         assert cov.n_snapshots == plan.n_subarrays
+
+    def test_bare_array(self):
+        # M and L come from the array's shape; no plan is needed
+        rng = np.random.default_rng(2)
+        c = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+        cov = covariance(c)
+        assert cov.n_snapshots == 7
+        assert cov.matrix.shape == (5, 5)
+        assert np.allclose(cov.matrix, c @ c.conj().T / 5, rtol=1e-12, atol=0)
 
 
 def equal_range_scene(q, rng_seed=0):
