@@ -8,7 +8,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -17,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_run_config
+from .config import RunConfig, build_run_config, parse_config_text
 from .detection import Routine, detect
 from .errors import ConfigError, OfdmMusicError
 from .harness import calibrate_kappa, run_sweep, write_sweep_outputs
@@ -30,31 +29,16 @@ logger = logging.getLogger(__name__)
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="run configuration file")
-    parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, help="scenario seed (overrides config)")
+    parser.add_argument("--out", help="output directory (config key out_dir)")
+    parser.add_argument("--seed", type=int, help="scenario seed (config key seed)")
     parser.add_argument("--threads", type=int,
                         help="worker processes (default: the CPUs this process "
                              "may run on)")
     parser.add_argument("--routine", choices=[r.value for r in Routine],
-                        help="peak selection routine (overrides config)")
+                        help="peak selection routine (config key routine)")
     parser.add_argument("--snr-db", type=float, dest="snr_db",
-                        help="scenario SNR in dB (overrides config)")
+                        help="scenario SNR in dB (config key snr_db)")
     parser.add_argument("-v", "--verbose", action="count", default=0)
-
-
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    detector = cfg.detector
-    scenario = cfg.scenario
-    if args.routine is not None:
-        detector = dataclasses.replace(detector,
-                                       routine=Routine.from_string(args.routine))
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, rng_seed=args.seed)
-    if args.snr_db is not None:
-        scenario = dataclasses.replace(scenario, snr_db=args.snr_db)
-    out_dir = args.out if args.out is not None else cfg.out_dir
-    return dataclasses.replace(cfg, detector=detector, scenario=scenario,
-                               out_dir=out_dir)
 
 
 def _available_cpus() -> int:
@@ -69,12 +53,8 @@ def _available_cpus() -> int:
 
 
 def _effective_config(cfg: RunConfig, n_workers: int) -> dict:
-    raw = dict(cfg.raw)
-    raw["routine"] = cfg.detector.routine.value
-    raw["seed"] = cfg.scenario.rng_seed
-    raw["snr_db"] = cfg.scenario.snr_db
-    raw["kappa"] = cfg.detector.kappa
-    raw["out_dir"] = cfg.out_dir
+    # A routine key may be spelled "Multiple"; echo its canonical name.
+    raw = dict(cfg.raw, routine=cfg.detector.routine.value)
     return {"version": f"ofdm-music/{__version__}", "threads": n_workers,
             "config": raw}
 
@@ -165,8 +145,13 @@ def main(argv=None) -> int:
         level = logging.DEBUG
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = load_run_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        with open(args.config) as f:
+            values = parse_config_text(f.read())
+        for key, flag in (("routine", args.routine), ("seed", args.seed),
+                          ("snr_db", args.snr_db), ("out_dir", args.out)):
+            if flag is not None:
+                values[key] = flag
+        cfg = build_run_config(values)
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         n_workers = args.threads or _available_cpus()

@@ -3,6 +3,7 @@
 Keys use the parameter names of the simulation setup (N, f_c, delta_f, K, d,
 c, A_f, D_f, A_a, D_a, S_f, S_a, N_start, ...). Unknown keys are rejected.
 Angles are degrees in configs and outputs; the library works in radians.
+The CLI writes its key flags into the parsed table before it is built.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ _DEFAULTS: dict[str, object] = {
     "kappa": 1.0,
     "routine": "multiple",
     "max_iterations": 8,
-    "merge_radius_r": 0.25,
-    "merge_radius_theta": 0.25,
     "theta_lim_deg": 60.0,
     # scenario
     "J": 500,
@@ -64,9 +63,8 @@ _DEFAULTS: dict[str, object] = {
 
 _INT_KEYS = {"N", "K", "A_f", "A_a", "D_f", "D_a", "S_f", "S_a", "N_start",
              "max_iterations", "J", "seed"}
-_FLOAT_KEYS = {"f_c", "delta_f", "d", "c", "p_fa", "kappa", "merge_radius_r",
-               "merge_radius_theta", "theta_lim_deg", "snr_db",
-               "range_diff_start", "range_diff_stop", "range_diff_step",
+_FLOAT_KEYS = {"f_c", "delta_f", "d", "c", "p_fa", "kappa", "theta_lim_deg",
+               "snr_db", "range_diff_start", "range_diff_stop", "range_diff_step",
                "angle_min_deg", "angle_max_deg", "min_angle_sep_deg",
                "base_range_max_m"}
 _BOOL_KEYS = {"free_placement", "first_target_only"}
@@ -74,7 +72,7 @@ _BOOL_KEYS = {"free_placement", "first_target_only"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI run needs, resolved from a config file plus overrides."""
+    """Everything a CLI run needs, resolved from one parsed key table, ``raw``."""
 
     radio: RadioConfig
     plan: SubarrayPlan
@@ -138,9 +136,7 @@ def build_run_config(values: dict) -> RunConfig:
     detector = DetectorConfig(
         n_start=values["N_start"], p_fa=values["p_fa"],
         routine=Routine.from_string(values["routine"]),
-        max_iterations=values["max_iterations"],
-        merge_radius=(values["merge_radius_r"], values["merge_radius_theta"]),
-        kappa=values["kappa"])
+        max_iterations=values["max_iterations"], kappa=values["kappa"])
     stop, step = values["range_diff_stop"], values["range_diff_step"]
     if step <= 0:
         raise ConfigError(f"range_diff_step must be positive, got {step}")
@@ -168,11 +164,6 @@ def build_run_config(values: dict) -> RunConfig:
                      theta_lim_rad=theta_lim,
                      first_target_only=values["first_target_only"],
                      out_dir=values["out_dir"], raw=values)
-
-
-def load_run_config(path) -> RunConfig:
-    with open(path) as f:
-        return build_run_config(parse_config_text(f.read()))
 
 
 def bundled_config_text(name: str) -> str:

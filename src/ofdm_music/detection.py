@@ -27,6 +27,8 @@ from .music import (GridConfig, SpectrumEvaluator, SpectrumGrid, Subspaces,
 # converge quadratically once inside a peak's convex basin.
 _ASCENT_STEPS = 20
 _MAX_STEP_CELLS = 1.0
+# Refined peaks closer than half a grid cell in both coordinates are one peak.
+_MERGE_RADIUS_CELLS = 0.5
 
 
 class Routine(enum.Enum):
@@ -62,7 +64,6 @@ class DetectorConfig:
     p_fa: float = 0.01
     routine: Routine = Routine.MULTIPLE
     max_iterations: int = 8
-    merge_radius: tuple[float, float] = (0.25, 0.25)   # fractions of (dr, dtheta)
     kappa: float = 1.0
 
     def __post_init__(self):
@@ -72,9 +73,6 @@ class DetectorConfig:
             raise ConfigError("n_start and max_iterations must be >= 1")
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ConfigError(f"kappa must be positive and finite, got {self.kappa}")
-        if not all(r >= 0 for r in self.merge_radius):
-            raise ConfigError(
-                f"merge_radius must be nonnegative, got {self.merge_radius}")
 
     @property
     def n_seeds(self) -> int:
@@ -312,8 +310,8 @@ def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
     for r, s in refined[~pinned]:
         th = math.asin(s)
         peaks.append((float(r), th, evaluator.value(r, th)))
-    radius_r = det_config.merge_radius[0] * 2.0 * float(cell[0])
-    radius_theta = det_config.merge_radius[1] * 2.0 * float(cell[1]) \
+    radius_r = _MERGE_RADIUS_CELLS * float(cell[0])
+    radius_theta = _MERGE_RADIUS_CELLS * float(cell[1]) \
         if geometry.angles_rad.size > 1 else math.inf
     return _merge_peaks(peaks, radius_r, radius_theta)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import functools
 import glob
 import json
 import logging
@@ -61,6 +62,10 @@ class ScenarioSpec:
         object.__setattr__(self, "range_diffs_m", tuple(self.range_diffs_m))
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
+        if self.rng_seed < 0:   # SeedSequence takes only nonnegative entropy
+            raise ConfigError(f"seed must be >= 0, got {self.rng_seed}")
+        if not (self.range_diffs_m or self.free_placement):
+            raise ConfigError("a sweep needs at least one range difference")
         if not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         if not all(0 <= d < math.inf for d in self.range_diffs_m):
@@ -226,14 +231,14 @@ def assign_and_score(truth, report: DetectionReport,
                        assigned_errors=(err1, err2), missed=missed)
 
 
-def trimmed_rmse(errors, trim: float = 0.01) -> float:
-    """RMSE after dropping floor(trim * n) largest and smallest absolute errors
-    (none below 1 / trim samples: the plain RMSE)."""
+def trimmed_rmse(errors) -> float:
+    """RMSE after dropping the floor(0.01 * n) largest and smallest absolute
+    errors (none below 100 samples: the plain RMSE)."""
     a = np.sort(np.abs(np.asarray(errors, dtype=float)))
     n = a.size
     if n < 1:
         raise DomainError("RMSE of no samples")
-    k = int(math.floor(trim * n))
+    k = int(math.floor(0.01 * n))
     kept = a[k:n - k] if k > 0 else a
     return float(np.sqrt(np.mean(kept ** 2)))
 
@@ -288,9 +293,9 @@ def _pin_blas_threads() -> None:
 
 @contextmanager
 def _trial_map(n_workers: int):
-    """Yield ``map_trials(fn, job, n_trials)``, backed by one pool per block.
+    """Yield ``map_trials(fn, n_trials)``, backed by one pool per block.
 
-    ``map_trials`` returns ``[fn(job, t) for t in range(n_trials)]`` in trial
+    ``map_trials`` returns ``[fn(t) for t in range(n_trials)]`` in trial
     order. With more than one worker every call shares a single process
     pool, opened on entry and shut down on exit; its workers run OpenBLAS on
     one thread each.
@@ -298,33 +303,22 @@ def _trial_map(n_workers: int):
     with (ProcessPoolExecutor(max_workers=n_workers,
                               initializer=_pin_blas_threads) if n_workers > 1
           else nullcontext()) as pool:
-        def map_trials(fn, job, n_trials: int) -> list:
+        def map_trials(fn, n_trials: int) -> list:
             if pool is None:
-                return [fn(job, t) for t in range(n_trials)]
+                return [fn(t) for t in range(n_trials)]
             chunk = max(1, n_trials // (8 * n_workers))
-            return list(pool.map(fn, [job] * n_trials, range(n_trials),
-                                 chunksize=chunk))
+            return list(pool.map(fn, range(n_trials), chunksize=chunk))
         yield map_trials
 
 
-@dataclass(frozen=True)
-class _TrialJob:
-    spec: ScenarioSpec
-    grid: GridConfig
-    det_config: DetectorConfig
-    range_diff_m: float
-    sweep_index: int
-
-
-def _run_trial_job(job: _TrialJob, trial_index: int
-                   ) -> tuple[tuple[tuple[float, float], tuple[float, float]],
-                              tuple[bool, bool]]:
-    g = job.grid
-    scene = generate_trial(job.spec, g.radio, trial_index, job.range_diff_m)
-    noise_seed = _sub_seed(job.spec.rng_seed, _NOISE_TAG, trial_index,
-                           job.sweep_index)
-    result = run_trial(g.radio, g.plan, job.det_config, scene, noise_seed,
-                       g.theta_lim_rad)
+def _sweep_trial(spec: ScenarioSpec, grid: GridConfig, det_config: DetectorConfig,
+                 range_diff_m: float, sweep_index: int, trial_index: int
+                 ) -> tuple[tuple[tuple[float, float], tuple[float, float]],
+                            tuple[bool, bool]]:
+    scene = generate_trial(spec, grid.radio, trial_index, range_diff_m)
+    noise_seed = _sub_seed(spec.rng_seed, _NOISE_TAG, trial_index, sweep_index)
+    result = run_trial(grid.radio, grid.plan, det_config, scene, noise_seed,
+                       grid.theta_lim_rad)
     return result.assigned_errors, result.missed
 
 
@@ -346,9 +340,9 @@ def run_sweep(spec: ScenarioSpec, radio: RadioConfig, plan: SubarrayPlan,
     with _trial_map(n_workers) as map_trials:
         for sweep_index, x in enumerate(x_values):
             diff = 0.0 if spec.free_placement else float(x)
-            job = _TrialJob(spec=spec, grid=grid, det_config=det_config,
-                            range_diff_m=diff, sweep_index=sweep_index)
-            results = map_trials(_run_trial_job, job, spec.n_trials)
+            trial = functools.partial(_sweep_trial, spec, grid, det_config, diff,
+                                      sweep_index)
+            results = map_trials(trial, spec.n_trials)
             missed_any = [any(m) for _, m in results]
             p_missed.append(float(np.mean(missed_any)))
             n_targets = 1 if first_target_only else 2
@@ -368,28 +362,21 @@ def run_sweep(spec: ScenarioSpec, radio: RadioConfig, plan: SubarrayPlan,
                         rmse_azimuth_deg=tuple(rmse_th), n_trials=spec.n_trials)
 
 
-@dataclass(frozen=True)
-class _CalibrationJob:
-    grid: GridConfig
-    det_config: DetectorConfig
-    rng_seed: int
-
-
-def _calibration_pivot(job: _CalibrationJob, trial_index: int) -> float:
-    g = job.grid
-    seed = _sub_seed(job.rng_seed, _CALIBRATION_TAG, trial_index)
+def _calibration_pivot(grid: GridConfig, det_config: DetectorConfig,
+                       rng_seed: int, trial_index: int) -> float:
+    seed = _sub_seed(rng_seed, _CALIBRATION_TAG, trial_index)
     # Unit variance: MDL and the pivot ratio do not depend on the noise scale.
     scene = TargetScene(targets=(), noise_variance=1.0)
-    csi = synthesize_csi(g.radio, scene, seed)
-    subs = decompose(covariance(smooth(csi, g.plan)))
+    csi = synthesize_csi(grid.radio, scene, seed)
+    subs = decompose(covariance(smooth(csi, grid.plan)))
     if subs.order_estimate == 0:
         return 0.0   # flat spectrum: the detector cannot alarm on this trial
-    grid = coarse_grid(subs, g)
-    peaks = refine_candidates(subs, g, grid, job.det_config,
-                              job.det_config.n_seeds)
+    spectrum = coarse_grid(subs, grid)
+    peaks = refine_candidates(subs, grid, spectrum, det_config,
+                              det_config.n_seeds)
     if not peaks:   # every refinement pinned at a domain edge: nothing to alarm
         return 0.0
-    return max(p[2] for p in peaks) / cfar_threshold(grid, job.det_config.p_fa)
+    return max(p[2] for p in peaks) / cfar_threshold(spectrum, det_config.p_fa)
 
 
 def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
@@ -406,10 +393,13 @@ def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
     """
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
-    job = _CalibrationJob(grid=GridConfig(radio, plan, theta_lim_rad),
-                          det_config=det_config, rng_seed=rng_seed)
+    if rng_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {rng_seed}")
+    pivot = functools.partial(_calibration_pivot,
+                              GridConfig(radio, plan, theta_lim_rad), det_config,
+                              rng_seed)
     with _trial_map(n_workers) as map_trials:
-        pivots = map_trials(_calibration_pivot, job, n_trials)
+        pivots = map_trials(pivot, n_trials)
     return max(1.0, empirical_quantile(pivots, 1.0 - det_config.p_fa))
 
 

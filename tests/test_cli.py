@@ -294,6 +294,38 @@ class TestSweepCommand:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_flags_are_config_keys(self, tmp_path):
+        # The four key flags write the same table as the keys themselves.
+        out_dir = tmp_path / "d"
+        cfg = self.sweep_cfg(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--seed", "99", "--routine",
+                     "off", "--snr-db", "12", "--out", str(out_dir),
+                     "--threads", "1"]) == 0
+        by_flags = ((out_dir / "sweep.csv").read_bytes(),
+                    json.loads((out_dir / "sweep.json").read_text())["config"])
+        cfg.write_text(cfg.read_text() + "seed = 99\nroutine = off\nsnr_db = 12\n"
+                       "out_dir = %s\n" % out_dir)
+        assert main(["sweep", "--config", str(cfg), "--threads", "1"]) == 0
+        by_keys = ((out_dir / "sweep.csv").read_bytes(),
+                   json.loads((out_dir / "sweep.json").read_text())["config"])
+        assert by_flags == by_keys
+        assert by_keys[1]["seed"] == 99 and by_keys[1]["snr_db"] == 12.0
+
+    def test_merge_radius_key_unknown_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "merge.cfg"
+        path.write_text("merge_radius_r = 0.25\n")
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "unknown config key 'merge_radius_r'" in capsys.readouterr().err
+
+    def test_sweep_without_points_exit_2(self, tmp_path, capsys):
+        # it used to exit 0 with a sweep.csv of only a header
+        path = tmp_path / "empty.cfg"
+        path.write_text("range_diff_start = 1\nrange_diff_stop = 0.5\n"
+                        "out_dir = %s\n" % (tmp_path / "out"))
+        assert main(["sweep", "--config", str(path), "--threads", "1"]) == 2
+        assert "at least one range difference" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCalibrateCommand:
     def test_writes_kappa(self, baseline_cfg, tmp_path, capsys):
@@ -326,6 +358,20 @@ def test_threads_below_one_exit_2(baseline_cfg, tmp_path, capsys, command,
     assert main([command, "--config", str(baseline_cfg), "--threads",
                  threads]) == 2
     assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "calibrate"])
+@pytest.mark.parametrize("by_flag", [False, True])
+def test_negative_seed_exit_2(baseline_cfg, tmp_path, capsys, command, by_flag):
+    # numpy's SeedSequence used to end the run with exit 1 and a traceback
+    args = [command, "--config", str(baseline_cfg), "--threads", "1"]
+    if by_flag:
+        args += ["--seed", "-1"]
+    else:
+        baseline_cfg.write_text(baseline_cfg.read_text() + "seed = -1\n")
+    assert main(args) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

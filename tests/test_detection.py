@@ -325,8 +325,8 @@ class TestDetect:
         cfg = DetectorConfig()
         report = detect(subs, params, GridConfig(radio, plan), cfg)
         cell = grid_geometry(GridConfig(radio, plan)).cell
-        radius_r = cfg.merge_radius[0] * 2 * cell[0]
-        radius_th = cfg.merge_radius[1] * 2 * cell[1]
+        radius_r = detection._MERGE_RADIUS_CELLS * cell[0]
+        radius_th = detection._MERGE_RADIUS_CELLS * cell[1]
         dets = [d for d in report.detections if d.iteration == 0]
         for i in range(len(dets)):
             for j in range(i + 1, len(dets)):
@@ -888,8 +888,3 @@ class TestDetectorConfig:
         # NaN made estimate print "gamma": NaN; inf gated out every target.
         with pytest.raises(ConfigError, match="kappa"):
             DetectorConfig(kappa=kappa)
-
-    @pytest.mark.parametrize("radius", [(-0.1, 0.25), (0.25, math.nan)])
-    def test_merge_radius_nonnegative(self, radius):
-        with pytest.raises(ConfigError, match="merge_radius"):
-            DetectorConfig(merge_radius=radius)

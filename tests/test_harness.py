@@ -118,6 +118,17 @@ class TestGenerateTrial:
         with pytest.raises(ConfigError):
             spec_with(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence raised ValueError on it in the middle of a run
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            spec_with(rng_seed=-1)
+
+    def test_sweep_without_points_rejected(self):
+        # it used to run no trials and write a sweep.csv of only a header
+        with pytest.raises(ConfigError, match="at least one range difference"):
+            spec_with(range_diffs_m=())
+        assert spec_with(range_diffs_m=(), free_placement=True).range_diffs_m == ()
+
     def test_free_placement_sorted(self):
         radio = small_radio(n=16, k=2)
         spec = spec_with(free_placement=True)
@@ -367,7 +378,7 @@ class TestRunSweep:
         assert doc["summary"]["n_trials"] == 2
 
 
-def blas_threads_in_worker(_job, _trial):
+def blas_threads_in_worker(_trial):
     time.sleep(0.05)   # holds the worker, so that both workers take trials
     return os.getpid(), harness._openblas_function("get_num_threads")()
 
@@ -390,7 +401,7 @@ class TestBlasPin:
 
     def worker_threads(self):
         with harness._trial_map(2) as map_trials:
-            seen = set(map_trials(blas_threads_in_worker, None, 8))
+            seen = set(map_trials(blas_threads_in_worker, 8))
         assert len({pid for pid, _ in seen}) == 2
         return {threads for _, threads in seen}
 
@@ -427,6 +438,14 @@ class TestCalibrateKappa:
         with pytest.raises(ConfigError, match="n_trials"):
             calibrate_kappa(radio, plan, DetectorConfig(), n_trials=n_trials,
                             n_workers=2)
+        assert pool_starts == []
+
+    def test_negative_seed_rejected(self, pool_starts):
+        radio = small_radio(n=12, k=4)
+        plan = make_plan(radio, 9, 3, 1, 1, 1, 1)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            calibrate_kappa(radio, plan, DetectorConfig(), n_trials=4,
+                            rng_seed=-1, n_workers=2)
         assert pool_starts == []
 
 

@@ -1,0 +1,35 @@
+"""The names the benchmark's span tracer binds to must exist in the package.
+
+``perfbench/spans.py`` wraps functions and methods of ``ofdm_music`` by name
+and reads some of their parameters by name (``n_seeds`` and ``grid`` of
+``refine_candidates``, ``report`` of ``assign_and_score``). A rename there
+would leave its counters at zero; this guard fails on it in the package's own
+test run.
+"""
+
+import os
+
+import ofdm_music
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench")
+
+
+def test_traced_mc_sweep_counts_every_layer(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import spans
+    import workloads
+
+    workload = workloads.McSweep(seed=3)
+    workload.setup()
+    tracer = spans.Tracer()
+    restore = spans.instrument(tracer, ofdm_music)
+    try:
+        for i in range(4):
+            with tracer.operation(units=1):
+                workload.execute(workload.prepare(i))
+    finally:
+        restore()
+    for counter in ("decompose", "seeds", "score"):
+        assert tracer.counts[counter] > 0, counter
+    assert ofdm_music.harness.run_trial.__globals__["detect"] is ofdm_music.detect
