@@ -59,7 +59,7 @@ def _effective_config(cfg: RunConfig, n_workers: int) -> dict:
             "config": raw}
 
 
-def cmd_estimate(cfg: RunConfig, csi_path: str, out_dir: str | None) -> int:
+def cmd_estimate(cfg: RunConfig, csi_path: str) -> int:
     csi = CsiMatrix.from_binary(csi_path, cfg.radio)
     subs = decompose(covariance(smooth(csi, cfg.plan)))
     grid_config = GridConfig(cfg.radio, cfg.plan, cfg.theta_lim_rad)
@@ -67,10 +67,9 @@ def cmd_estimate(cfg: RunConfig, csi_path: str, out_dir: str | None) -> int:
                     cfg.detector)
     text = report.to_json()
     print(text)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w") as f:
-            f.write(text + "\n")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, "report.json"), "w") as f:
+        f.write(text + "\n")
     return 0
 
 
@@ -156,7 +155,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         n_workers = args.threads or _available_cpus()
         if args.command == "estimate":
-            return cmd_estimate(cfg, args.csi, args.out)
+            return cmd_estimate(cfg, args.csi)
         if args.command == "sweep":
             return cmd_sweep(cfg, n_workers)
         if args.command == "calibrate":

@@ -2,6 +2,9 @@
 
 Keys use the parameter names of the simulation setup (N, f_c, delta_f, K, d,
 c, A_f, D_f, A_a, D_a, S_f, S_a, N_start, ...). Unknown keys are rejected.
+The radio, plan and detector defaults are those of ``presets.baseline_radio``,
+``presets.baseline_plan`` and ``DetectorConfig()``. A key's value has the type
+of its default, float where the default is None.
 Angles are degrees in configs and outputs; the library works in radians.
 The CLI writes its key flags into the parsed table before it is built.
 """
@@ -18,31 +21,33 @@ from .detection import DetectorConfig, Routine
 from .errors import ConfigError
 from .harness import ScenarioSpec
 from .music import GridConfig, unambiguous_range
-from .presets import BASELINE_SPEED_OF_LIGHT
+from .presets import baseline_plan, baseline_radio
 from .signal_model import RadioConfig
 from .smoothing import SubarrayPlan, make_plan
 
+_RADIO, _PLAN, _DETECTOR = baseline_radio(), baseline_plan(), DetectorConfig()
+
 _DEFAULTS: dict[str, object] = {
     # OFDM numerology and array geometry
-    "N": 1500,
-    "f_c": 3.5e9,
-    "delta_f": 60e3,
-    "K": 4,
+    "N": _RADIO.n_subcarriers,
+    "f_c": _RADIO.carrier_freq_hz,
+    "delta_f": _RADIO.subcarrier_spacing_hz,
+    "K": _RADIO.n_antennas,
     "d": None,            # None -> half wavelength
-    "c": BASELINE_SPEED_OF_LIGHT,
+    "c": _RADIO.speed_of_light_m_s,
     # sub-array plan
-    "A_f": 1401,
-    "A_a": 3,
-    "D_f": 100,
-    "D_a": 1,
-    "S_f": 1,
-    "S_a": 1,
+    "A_f": _PLAN.aperture_f,
+    "A_a": _PLAN.aperture_a,
+    "D_f": _PLAN.decim_f,
+    "D_a": _PLAN.decim_a,
+    "S_f": _PLAN.stride_f,
+    "S_a": _PLAN.stride_a,
     # detector
-    "N_start": 10,
-    "p_fa": 0.01,
-    "kappa": 1.0,
-    "routine": "multiple",
-    "max_iterations": 8,
+    "N_start": _DETECTOR.n_start,
+    "p_fa": _DETECTOR.p_fa,
+    "kappa": _DETECTOR.kappa,
+    "routine": _DETECTOR.routine.value,
+    "max_iterations": _DETECTOR.max_iterations,
     "theta_lim_deg": 60.0,
     # scenario
     "J": 500,
@@ -61,14 +66,6 @@ _DEFAULTS: dict[str, object] = {
     "out_dir": "out",
 }
 
-_INT_KEYS = {"N", "K", "A_f", "A_a", "D_f", "D_a", "S_f", "S_a", "N_start",
-             "max_iterations", "J", "seed"}
-_FLOAT_KEYS = {"f_c", "delta_f", "d", "c", "p_fa", "kappa", "theta_lim_deg",
-               "snr_db", "range_diff_start", "range_diff_stop", "range_diff_step",
-               "angle_min_deg", "angle_max_deg", "min_angle_sep_deg",
-               "base_range_max_m"}
-_BOOL_KEYS = {"free_placement", "first_target_only"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -86,16 +83,17 @@ class RunConfig:
 
 def _parse_value(key: str, raw: str, lineno: int):
     raw = raw.strip()
+    kind = type(_DEFAULTS[key]) if _DEFAULTS[key] is not None else float
     try:
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if key in _INT_KEYS:
+        if kind is int:
             return int(raw)
-        if key in _FLOAT_KEYS:
+        if kind is float:
             value = float(raw)
             if not math.isfinite(value):
                 raise ConfigError(

@@ -285,7 +285,7 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
 
 
 def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
-                      grid: SpectrumGrid, det_config: DetectorConfig,
+                      grid: SpectrumGrid,
                       n_seeds: int) -> list[tuple[float, float, float]]:
     """Refine the ``n_seeds`` strongest points of ``grid``; merged, unsorted.
 
@@ -298,7 +298,7 @@ def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
     """
     geometry = grid_geometry(grid_config)
     lo, hi, cell = geometry.lo, geometry.hi, geometry.cell
-    evaluator = SpectrumEvaluator(subspaces, geometry.params)
+    evaluator = SpectrumEvaluator(subspaces, geometry)
     flat = grid.values.ravel()
     order = np.argsort(-flat, kind="stable")[:min(n_seeds, flat.size)]
     rows, cols = np.divmod(order, grid.angles_rad.size)
@@ -357,8 +357,7 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
             grid = coarse_grid(current, grid_config)
             spectra += 1
             gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
-        merged = refine_candidates(current, grid_config, grid, det_config,
-                                   det_config.n_seeds)
+        merged = refine_candidates(current, grid_config, grid, det_config.n_seeds)
         survivors = [p for p in merged if p[2] >= gamma]
         if det_config.routine is Routine.OFF:
             detections = [Detection(r, th, val, iteration)

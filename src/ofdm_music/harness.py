@@ -21,7 +21,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -331,13 +331,13 @@ def run_sweep(spec: ScenarioSpec, radio: RadioConfig, plan: SubarrayPlan,
 
     Trials get independent sub-seeds, so the summary is bit-identical for any
     worker count; aggregation always runs in trial order. All sweep points
-    share one process pool. Free-placement scenarios collapse to a single
-    sweep point with a NaN x value.
+    share one process pool, of at most one worker per trial. Free-placement
+    scenarios collapse to a single sweep point with a NaN x value.
     """
     grid = GridConfig(radio, plan, theta_lim_rad)
     x_values = (math.nan,) if spec.free_placement else spec.range_diffs_m
     p_missed, rmse_r, rmse_th = [], [], []
-    with _trial_map(n_workers) as map_trials:
+    with _trial_map(min(n_workers, spec.n_trials)) as map_trials:
         for sweep_index, x in enumerate(x_values):
             diff = 0.0 if spec.free_placement else float(x)
             trial = functools.partial(_sweep_trial, spec, grid, det_config, diff,
@@ -372,8 +372,7 @@ def _calibration_pivot(grid: GridConfig, det_config: DetectorConfig,
     if subs.order_estimate == 0:
         return 0.0   # flat spectrum: the detector cannot alarm on this trial
     spectrum = coarse_grid(subs, grid)
-    peaks = refine_candidates(subs, grid, spectrum, det_config,
-                              det_config.n_seeds)
+    peaks = refine_candidates(subs, grid, spectrum, det_config.n_seeds)
     if not peaks:   # every refinement pinned at a domain edge: nothing to alarm
         return 0.0
     return max(p[2] for p in peaks) / cfar_threshold(spectrum, det_config.p_fa)
@@ -398,7 +397,7 @@ def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
     pivot = functools.partial(_calibration_pivot,
                               GridConfig(radio, plan, theta_lim_rad), det_config,
                               rng_seed)
-    with _trial_map(n_workers) as map_trials:
+    with _trial_map(min(n_workers, n_trials)) as map_trials:
         pivots = map_trials(pivot, n_trials)
     return max(1.0, empirical_quantile(pivots, 1.0 - det_config.p_fa))
 
@@ -409,14 +408,7 @@ def write_sweep_outputs(summary: SweepSummary, out_dir, metadata: dict) -> tuple
     csv_path = os.path.join(out_dir, "sweep.csv")
     json_path = os.path.join(out_dir, "sweep.json")
     summary.to_csv(csv_path)
-    doc = dict(metadata)
-    doc["summary"] = {
-        "x_axis": list(summary.x_axis),
-        "p_missed": list(summary.p_missed),
-        "rmse_range_m": list(summary.rmse_range_m),
-        "rmse_azimuth_deg": list(summary.rmse_azimuth_deg),
-        "n_trials": summary.n_trials,
-    }
+    doc = dict(metadata, summary=asdict(summary))
     with open(json_path, "w") as f:
         json.dump(doc, f, indent=2, allow_nan=True)
     return csv_path, json_path

@@ -164,48 +164,39 @@ def _clamped_inverse(proj: np.ndarray) -> float:
     return min(1.0 / den, MUSIC_VALUE_CLAMP)
 
 
-@functools.lru_cache(maxsize=16)
-def _phase_ramps(params: SteeringParams) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (ramp_r, ramp_theta): element m of a decimated steering
-    vector has the phase r*ramp_r[m] + sin(theta)*ramp_theta[m]."""
-    i = np.repeat(np.arange(params.n_sub_f), params.n_sub_a)
-    j = np.tile(np.arange(params.n_sub_a), params.n_sub_f)
-    ramp_r = params.phi_f * (2.0 / params.speed_of_light_m_s) * i
-    ramp_theta = params.phi_a * j
-    ramp_r.flags.writeable = ramp_theta.flags.writeable = False
-    return ramp_r, ramp_theta
+def _steering(moments: np.ndarray, r, s) -> np.ndarray:
+    """exp(j(r*a + s*b)) with the phase ramps a, b of ``moments``, for ranges
+    ``r`` and sines ``s`` that broadcast; the last axis is the element."""
+    return np.exp(1j * (np.multiply.outer(r, moments[1])
+                        + np.multiply.outer(s, moments[2])))
 
 
-def grid_steering(params: SteeringParams, ranges_m: np.ndarray,
+def grid_steering(moments: np.ndarray, ranges_m: np.ndarray,
                   angles_rad: np.ndarray) -> np.ndarray:
     """Steering vectors of the grid ``ranges_m`` x ``angles_rad`` as columns,
     column i*angles_rad.size + j at (ranges_m[i], angles_rad[j])."""
-    ramp_r, ramp_theta = _phase_ramps(params)
-    sin_th = np.sin(angles_rad)
-    phases = ranges_m[:, np.newaxis, np.newaxis] * ramp_r \
-        + sin_th[np.newaxis, :, np.newaxis] * ramp_theta
-    return np.exp(1j * phases.reshape(-1, ramp_r.size)).T
+    v = _steering(moments, ranges_m[:, np.newaxis],
+                  np.sin(angles_rad)[np.newaxis, :])
+    return v.reshape(-1, moments.shape[1]).T
 
 
 class SpectrumEvaluator:
     """Fast repeated pseudospectrum evaluation for one noise basis.
 
-    Precomputes the conjugated noise basis and the per-element phase ramps so
-    a point evaluation costs one complex exponential and one matvec. Produces
-    values identical to ``music_value`` on ``decimated_steering`` vectors.
-    The steering phase is linear in (r, sin theta), which gives the
-    denominator a closed-form gradient and Hessian in those coordinates.
+    Keeps the conjugated noise basis and reads the phase ramps and their
+    products from the grid geometry, so a point evaluation costs one complex
+    exponential and one matvec. Produces values identical to
+    ``music_value`` on ``decimated_steering`` vectors. The steering phase is
+    linear in (r, sin theta), which gives the denominator a closed-form
+    gradient and Hessian in those coordinates.
     """
 
-    def __init__(self, subspaces: Subspaces, params: SteeringParams):
+    def __init__(self, subspaces: Subspaces, geometry: GridGeometry):
         self._noise_h = np.ascontiguousarray(subspaces.noise_basis.conj().T)
-        self._ramp_r, self._ramp_theta = _phase_ramps(params)
-        a, b = self._ramp_r, self._ramp_theta
-        # v scaled by the ramp products that its derivatives bring down.
-        self._moments = np.stack([np.ones_like(a), a, b, a * a, a * b, b * b])
+        self._moments = geometry.moments
 
     def value(self, r: float, theta: float) -> float:
-        v = np.exp(1j * (r * self._ramp_r + math.sin(theta) * self._ramp_theta))
+        v = _steering(self._moments, r, math.sin(theta))
         return _clamped_inverse(self._noise_h @ v)
 
     def values(self, steering: np.ndarray) -> np.ndarray:
@@ -223,8 +214,7 @@ class SpectrumEvaluator:
         phase ramps a, b, so one matmul projects them all. Returns arrays of
         shapes (n,), (n, 2) and (n, 2, 2), in (r, sin theta) coordinates.
         """
-        v = np.exp(1j * (np.outer(ranges_m, self._ramp_r)
-                         + np.outer(sines, self._ramp_theta)))
+        v = _steering(self._moments, ranges_m, sines)
         q = (v[:, np.newaxis, :] * self._moments) @ self._noise_h.T
         # The factors j and j^2 that differentiation brings down fold into the
         # signs: D_x = -2 Im(q_0^H q_x), D_xy = 2 Re(q_x^H q_y - q_0^H q_xy).
@@ -263,13 +253,16 @@ class GridConfig:
 @dataclass(frozen=True)
 class GridGeometry:
     """What a :class:`GridConfig` fixes: the coarse grid's axes and steering
-    vectors (the columns of ``steering``), and the refiner's search box
-    [lo, hi] and grid cell in (r, sin theta). All arrays are read-only."""
+    vectors (the columns of ``steering``), the refiner's search box [lo, hi]
+    and grid cell in (r, sin theta), and the rows 1, a, b, a*a, a*b, b*b of
+    ``moments``: element m of a steering vector has the phase
+    r*a[m] + sin(theta)*b[m]. All arrays are read-only."""
 
     params: SteeringParams
     ranges_m: np.ndarray
     angles_rad: np.ndarray
     steering: np.ndarray
+    moments: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     cell: np.ndarray
@@ -303,11 +296,16 @@ def grid_geometry(grid_config: GridConfig) -> GridGeometry:
     lo = np.array([0.0, s_lo])
     hi = np.array([params.r_max_m * (1.0 - 1e-12), s_hi])
     cell = np.array([r_step, th_step])
-    steering = grid_steering(params, ranges, angles)
-    for a in (ranges, angles, steering, lo, hi, cell):
-        a.flags.writeable = False
+    i = np.repeat(np.arange(plan.n_sub_f), plan.n_sub_a)
+    j = np.tile(np.arange(plan.n_sub_a), plan.n_sub_f)
+    a = params.phi_f * (2.0 / params.speed_of_light_m_s) * i
+    b = params.phi_a * j
+    moments = np.stack([np.ones_like(a), a, b, a * a, a * b, b * b])
+    steering = grid_steering(moments, ranges, angles)
+    for arr in (ranges, angles, steering, moments, lo, hi, cell):
+        arr.flags.writeable = False
     return GridGeometry(params=params, ranges_m=ranges, angles_rad=angles,
-                        steering=steering, lo=lo, hi=hi, cell=cell)
+                        steering=steering, moments=moments, lo=lo, hi=hi, cell=cell)
 
 
 def coarse_grid(subspaces: Subspaces, grid_config: GridConfig) -> SpectrumGrid:
@@ -317,7 +315,7 @@ def coarse_grid(subspaces: Subspaces, grid_config: GridConfig) -> SpectrumGrid:
     cancelation, scoring fallbacks and calibration all come through here.
     """
     g = grid_geometry(grid_config)
-    vals = SpectrumEvaluator(subspaces, g.params).values(g.steering)
+    vals = SpectrumEvaluator(subspaces, g).values(g.steering)
     return SpectrumGrid(ranges_m=g.ranges_m, angles_rad=g.angles_rad,
                         values=vals.reshape(g.ranges_m.size, g.angles_rad.size))
 

@@ -130,7 +130,7 @@ def estimate_reports(work: str) -> list[dict]:
     """``estimate`` reports of the seeded frames under every routine."""
     cfg = os.path.join(work, "estimate.cfg")
     with open(cfg, "w") as f:
-        f.write(bundled_config_text("fig2_desk.cfg"))
+        f.write(bundled_config_text("fig2_desk.cfg") + f"\nout_dir = {work}\n")
     radio = baseline_radio()
     reports = []
     for index, n_targets in enumerate(FRAME_TARGETS):

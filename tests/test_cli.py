@@ -8,12 +8,13 @@ import sys
 import pytest
 
 import ofdm_music
-from ofdm_music import TargetScene, Target, noise_variance_for_snr, synthesize_csi
+from ofdm_music import (DetectorConfig, TargetScene, Target,
+                        noise_variance_for_snr, synthesize_csi)
 from ofdm_music.cli import main
-from ofdm_music.config import (_FLOAT_KEYS, bundled_config_text,
+from ofdm_music.config import (_DEFAULTS, bundled_config_text,
                                build_run_config, parse_config_text)
 from ofdm_music.errors import ConfigError
-from ofdm_music.presets import baseline_radio
+from ofdm_music.presets import baseline_plan, baseline_radio
 
 
 @pytest.fixture
@@ -32,6 +33,9 @@ class TestConfigParsing:
         assert cfg.plan.samples_per_subarray == 45
         assert cfg.detector.n_start == 10
         assert cfg.scenario.n_trials == 500
+        assert cfg.radio == baseline_radio()
+        assert cfg.plan == baseline_plan()
+        assert cfg.detector == DetectorConfig()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -69,7 +73,9 @@ class TestConfigParsing:
         assert cfg.scenario.base_range_max_m == 22.5
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
-    @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+    @pytest.mark.parametrize("key", sorted(
+        key for key, value in _DEFAULTS.items()
+        if value is None or isinstance(value, float)))
     def test_non_finite_float_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=f"key {key} must be finite"):
             parse_config_text(f"{key} = {raw}\n")
@@ -208,6 +214,16 @@ class TestEstimateCommand:
         stdout_doc = json.loads(capsys.readouterr().out)
         file_doc = json.loads((out_dir / "report.json").read_text())
         assert file_doc == stdout_doc
+
+    def test_report_written_to_configured_out_dir(self, tmp_path, capsys):
+        target = Target(8.0, 0.0, 0.015 + 0j)
+        csi_path = self.write_csi(tmp_path, (target,), 20.0)
+        out_dir = tmp_path / "configured"
+        cfg = tmp_path / "estimate.cfg"
+        cfg.write_text("c = 3e8\nout_dir = %s\n" % out_dir)
+        assert main(["estimate", str(csi_path), "--config", str(cfg)]) == 0
+        stdout = capsys.readouterr().out
+        assert (out_dir / "report.json").read_text() == stdout
 
     def test_report_counts_searched_spectra(self, baseline_cfg, tmp_path, capsys):
         # Both targets are canceled in the first iteration, which completes

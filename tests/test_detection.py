@@ -131,8 +131,7 @@ class TestRefineCandidates:
         order = np.argsort(-grid.values.ravel(), kind="stable")[:10]
         for idx in order:
             i, j = divmod(int(idx), grid.angles_rad.size)
-            peaks = refine_candidates(subs, gc, one_hot(grid, i, j),
-                                      DetectorConfig(), 1)
+            peaks = refine_candidates(subs, gc, one_hot(grid, i, j), 1)
             for r, th, v in peaks:
                 assert v >= grid.values[i, j] * (1 - 1e-12)
                 assert 0.0 <= r < params.r_max_m
@@ -141,9 +140,9 @@ class TestRefineCandidates:
     @pytest.mark.parametrize("seed", range(20))
     def test_values_are_point_evaluations(self, seed):
         params, subs, grid, gc = random_scene(seed)
-        peaks = refine_candidates(subs, gc, grid, DetectorConfig(), 10)
+        peaks = refine_candidates(subs, gc, grid, 10)
         assert peaks
-        ev = SpectrumEvaluator(subs, params)
+        ev = SpectrumEvaluator(subs, grid_geometry(gc))
         for r, th, v in peaks:
             assert v == ev.value(r, th)
 
@@ -152,7 +151,7 @@ class TestRefineCandidates:
             params, subs, grid, gc = random_scene(seed, plan=range_only_plan(
                 baseline_radio()))
             assert grid.angles_rad.size == 1
-            peaks = refine_candidates(subs, gc, grid, DetectorConfig(), 10)
+            peaks = refine_candidates(subs, gc, grid, 10)
             assert peaks
             for r, th, v in peaks:
                 assert th == grid.angles_rad[0]
@@ -163,8 +162,7 @@ class TestRefineCandidates:
         # Seed at (8.5 m, 26 deg): about half a cell off in both dimensions.
         grid = SpectrumGrid(np.array([8.5, 9.39]),
                             np.radians([26.0, 54.6]), np.eye(2))
-        (r, th, v), = refine_candidates(subs, GridConfig(radio, plan), grid,
-                                        DetectorConfig(), 1)
+        (r, th, v), = refine_candidates(subs, GridConfig(radio, plan), grid, 1)
         assert abs(r - 9.0) < 1e-3
         assert abs(th - math.radians(15)) < 1e-3
 
@@ -191,8 +189,8 @@ class TestRefineCandidates:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_derivatives_match_finite_differences(self, seed):
-        params, subs, _, _ = random_scene(seed)
-        ev = SpectrumEvaluator(subs, params)
+        params, subs, _, gc = random_scene(seed)
+        ev = SpectrumEvaluator(subs, grid_geometry(gc))
         rng = np.random.default_rng(seed)
         r = rng.uniform(1.0, 24.0, 8)
         s = rng.uniform(-0.8, 0.8, 8)
@@ -272,10 +270,11 @@ class TestCancelTarget:
         assert report.detections
         first = max(report.detections, key=lambda d: d.spectrum_value)
         out = cancel_target(subs, params, first)
-        ev = SpectrumEvaluator(out, params)
+        geometry = grid_geometry(gc)
+        ev = SpectrumEvaluator(out, geometry)
         ranges = np.linspace(8.0, 13.0, 161)
         angles = np.radians(np.linspace(-5, 20, 161))
-        vals = ev.values(grid_steering(params, ranges, angles)).reshape(
+        vals = ev.values(grid_steering(geometry.moments, ranges, angles)).reshape(
             ranges.size, angles.size)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         res_r, res_th = ranges[i], angles[j]
@@ -457,7 +456,7 @@ def detect_loop_reference(subspaces, params, grid_config, det_config):
         return DetectionReport(detections=(), threshold_used=gamma,
                                routine=det_config.routine, spectra_computed=spectra)
     if det_config.routine is Routine.OFF:
-        merged = refine_candidates(subspaces, grid_config, grid, det_config,
+        merged = refine_candidates(subspaces, grid_config, grid,
                                    det_config.n_seeds)
         dets = [Detection(r, th, val, 0) for r, th, val in merged if val >= gamma]
         return DetectionReport(detections=tuple(dets), threshold_used=gamma,
@@ -471,7 +470,7 @@ def detect_loop_reference(subspaces, params, grid_config, det_config):
             grid = coarse_grid(current, grid_config)
             spectra += 1
             gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
-        merged = refine_candidates(current, grid_config, grid, det_config,
+        merged = refine_candidates(current, grid_config, grid,
                                    det_config.n_seeds)
         survivors = [p for p in merged if p[2] >= gamma]
         if not survivors:
@@ -660,8 +659,8 @@ class TestAscend:
 
     @pytest.mark.parametrize("plan_name", sorted(TestDetectLoop.PLANS))
     def test_matches_reference_from_domain_bounds(self, plan_name):
-        subs, params, _ = next(two_target_scenes(plan_name, 1))
-        ev = SpectrumEvaluator(subs, params)
+        subs, params, gc = next(two_target_scenes(plan_name, 1))
+        ev = SpectrumEvaluator(subs, grid_geometry(gc))
         r_hi = params.r_max_m * (1.0 - 1e-12)
         s_lim = math.sin(DEFAULT_THETA_LIM_RAD)
         cell = np.array([0.1, 0.05])
@@ -697,8 +696,8 @@ class TestAscend:
     def test_denominator_rows_do_not_depend_on_the_batch(self, plan_name):
         # What makes skipping a repeated point exact: a point's denominator,
         # gradient and Hessian are the same bits in any batch.
-        subs, params, _ = next(two_target_scenes(plan_name, 1))
-        ev = SpectrumEvaluator(subs, params)
+        subs, params, gc = next(two_target_scenes(plan_name, 1))
+        ev = SpectrumEvaluator(subs, grid_geometry(gc))
         rng = np.random.default_rng(11)
         pts = np.column_stack([rng.uniform(0.0, params.r_max_m, 10),
                                rng.uniform(-0.85, 0.85, 10)])
@@ -851,7 +850,7 @@ class TestGridGeometry:
         geometry = grid_geometry(GridConfig(baseline_radio(), baseline_plan()))
         assert geometry.steering.shape == (45, 29 * 5)
         for a in (geometry.steering, geometry.ranges_m, geometry.angles_rad,
-                  geometry.lo, geometry.hi, geometry.cell):
+                  geometry.moments, geometry.lo, geometry.hi, geometry.cell):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             geometry.steering[0, 0] = 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import time
@@ -42,6 +43,29 @@ def pool_starts(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
     return starts
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """``max_workers`` of every pool the harness opens; these pools start no
+    process and map in this one."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return sizes
 
 
 class TestGenerateTrial:
@@ -333,6 +357,18 @@ class TestRunSweep:
         assert run_sweep(spec, radio, plan, DetectorConfig()) == parallel
         assert pool_starts == [2]   # one worker maps in-process
 
+    def test_no_more_workers_than_trials(self, inline_pools):
+        radio = baseline_radio()
+        plan = baseline_plan(radio)
+        spec = ScenarioSpec(n_trials=3, snr_db=15.0, range_diffs_m=(0.0, 1.0),
+                            rng_seed=7, base_range_max_m=22.0)
+        wide = run_sweep(spec, radio, plan, DetectorConfig(), n_workers=64)
+        assert inline_pools == [3]
+        assert run_sweep(spec, radio, plan, DetectorConfig()) == wide
+        one = dataclasses.replace(spec, n_trials=1)
+        run_sweep(one, radio, plan, DetectorConfig(), n_workers=64)
+        assert inline_pools == [3]   # a single trial maps in-process
+
     def test_free_placement_single_point(self):
         radio = baseline_radio()
         plan = baseline_plan(radio)
@@ -430,6 +466,17 @@ class TestCalibrateKappa:
         assert parallel > 1.0
         assert calibrate_kappa(radio, plan, DetectorConfig(), **kw) == parallel
         assert pool_starts == [2]
+
+    def test_no_more_workers_than_trials(self, inline_pools):
+        radio = small_radio(n=12, k=4)
+        plan = make_plan(radio, 9, 3, 1, 1, 1, 1)
+        wide = calibrate_kappa(radio, plan, DetectorConfig(), n_trials=3,
+                               rng_seed=4, n_workers=64)
+        assert inline_pools == [3]
+        assert calibrate_kappa(radio, plan, DetectorConfig(), n_trials=3,
+                               rng_seed=4) == wide
+        calibrate_kappa(radio, plan, DetectorConfig(), n_trials=1, n_workers=64)
+        assert inline_pools == [3]   # a single trial maps in-process
 
     @pytest.mark.parametrize("n_trials", [0, -2])
     def test_no_trials_rejected(self, pool_starts, n_trials):

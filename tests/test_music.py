@@ -240,7 +240,8 @@ class TestMusicValue:
         plan = baseline_plan(cfg)
         params = steering_params(cfg, plan)
         subs = decomposed_scene(cfg, plan, (Target(8.0, 0.3, 0.02 + 0j),), 20.0)
-        ev = SpectrumEvaluator(subs, params)
+        geometry = grid_geometry(GridConfig(cfg, plan))
+        ev = SpectrumEvaluator(subs, geometry)
         rng = np.random.default_rng(0)
         for _ in range(20):
             r = rng.uniform(0, 24.9)
@@ -249,7 +250,8 @@ class TestMusicValue:
             assert ev.value(r, th) == pytest.approx(direct, rel=1e-12)
         ranges = np.linspace(0.0, 24.0, 7)
         angles = np.linspace(-1.0, 1.0, 5)
-        grid_vals = ev.values(grid_steering(params, ranges, angles)).reshape(
+        grid_vals = ev.values(grid_steering(geometry.moments, ranges,
+                                            angles)).reshape(
             ranges.size, angles.size)
         for i, r in enumerate(ranges):
             for j, th in enumerate(angles):
@@ -304,11 +306,11 @@ class TestResolutionAndGrid:
         # grid points beyond one resolution cell stay 20 dB lower
         cfg = baseline_radio()
         plan = baseline_plan(cfg)
-        params = steering_params(cfg, plan)
         r0, th0 = 10.0, math.radians(20)
         subs = decomposed_scene(cfg, plan, (Target(r0, th0, 0.01 + 0j),), 120.0)
         grid = coarse_grid(subs, GridConfig(cfg, plan))
-        peak = SpectrumEvaluator(subs, params).value(r0, th0)
+        peak = SpectrumEvaluator(subs, grid_geometry(GridConfig(cfg, plan))
+                                 ).value(r0, th0)
         dr = range_resolution(cfg, plan)
         dth = 2 * (grid.angles_rad[1] - grid.angles_rad[0])
         far = [grid.values[i, j]

@@ -33,3 +33,33 @@ def test_traced_mc_sweep_counts_every_layer(monkeypatch):
     for counter in ("decompose", "seeds", "score"):
         assert tracer.counts[counter] > 0, counter
     assert ofdm_music.harness.run_trial.__globals__["detect"] is ofdm_music.detect
+
+
+def test_every_workload_runs_one_quantum(monkeypatch, tmp_path):
+    # The signatures the workloads call: detect, run_trial, calibrate_kappa,
+    # run_sweep and the config builders.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    for name in ("mc-sweep", "calibrate", "estimate-frames"):
+        workload = workloads.make(name, 5, str(tmp_path / "work"))
+        workload.setup()
+        try:
+            for i in range(workload.op_quantum):
+                prepared = workload.prepare(i)
+                assert workload.check(prepared, workload.execute(prepared)) == [], \
+                    (name, i)
+        finally:
+            workload.close()
+
+    sweep = workloads.McSweepParallel(5, n_workers=1)
+    sweep.setup()
+    try:
+        point = sweep.cfg.scenario.range_diffs_m[:1]
+        summary = sweep.sweep(sweep.scenario(0, point), 1)
+    finally:
+        sweep.close()
+    assert summary.x_axis == point
+    assert summary.n_trials == sweep.trials_per_point
+    assert workloads.finite(*summary.p_missed, *summary.rmse_range_m,
+                            *summary.rmse_azimuth_deg)
