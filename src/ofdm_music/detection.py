@@ -27,6 +27,9 @@ from .music import (GridConfig, SpectrumEvaluator, SpectrumGrid, Subspaces,
 # converge quadratically once inside a peak's convex basin.
 _ASCENT_STEPS = 20
 _MAX_STEP_CELLS = 1.0
+# A seed whose capped step is shorter than this has converged: a millionth
+# of a cell is far below the accuracy the estimator is held to.
+_MIN_STEP_CELLS = 1e-6
 # Refined peaks closer than half a grid cell in both coordinates are one peak.
 _MERGE_RADIUS_CELLS = 0.5
 
@@ -151,11 +154,13 @@ def cfar_threshold(grid: SpectrumGrid, p_fa: float, kappa: float = 1.0) -> float
 
 def cancel_target(subspaces: Subspaces, params: SteeringParams,
                   det: Detection) -> Subspaces:
-    """Augment the noise basis with the detected target's steering direction.
+    """Move the detected target's steering direction to the noise side.
 
     The steering vector is orthogonalized against the current noise basis,
     normalized and appended, nulling the target in the re-estimated spectrum
-    without recomputing the eigendecomposition. Raises
+    without recomputing the eigendecomposition. That direction lies in the
+    signal span, whose basis keeps the q - 1 directions orthogonal to it, so
+    the two bases still partition C^M. Raises
     :class:`AlreadyCanceledError` when the vector already lies in the noise
     span, which signals a duplicate detection.
     """
@@ -169,9 +174,17 @@ def cancel_target(subspaces: Subspaces, params: SteeringParams,
         raise AlreadyCanceledError(
             f"steering at (r={det.range_m:.3f} m, theta={det.azimuth_rad:.4f} rad) "
             "already lies in the noise span")
-    new_basis = np.hstack([un, (residual / norm)[:, np.newaxis]])
-    return Subspaces(noise_basis=new_basis, signal_basis=subspaces.signal_basis,
-                     eigenvalues=subspaces.eigenvalues,
+    u = residual / norm
+    us = subspaces.signal_basis
+    # The Householder reflector that maps w, the coordinates of u in the
+    # signal basis, onto the first axis is unitary and Hermitian, so its
+    # other q - 1 columns are orthonormal and orthogonal to w.
+    w = us.conj().T @ u
+    y = w.copy()
+    y[0] += np.exp(1j * np.angle(w[0])) * np.linalg.norm(w)
+    signal = us[:, 1:] - np.outer(us @ y, y[1:].conj() * (2.0 / np.vdot(y, y).real))
+    return Subspaces(noise_basis=np.hstack([un, u[:, np.newaxis]]),
+                     signal_basis=signal, eigenvalues=subspaces.eigenvalues,
                      order_estimate=subspaces.order_estimate)
 
 
@@ -205,10 +218,13 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
     at just halves its radius: the denominator there is already known, and a
     seed's denominator never rises, so the step would be rejected again. A
     seed whose trial point rounds to its current point has stopped for good,
-    since the shorter steps that follow round there too. These skips are
-    exact because the denominator of a point does not depend on the batch it
-    is evaluated in, and the scalar arithmetic repeats the order of
-    operations of the batched form, so the iterates are the same bit for bit.
+    since the shorter steps that follow round there too; so has a seed whose
+    capped step is shorter than ``_MIN_STEP_CELLS``. A stopped seed's state
+    never changes again, so it would keep stopping. These skips are exact
+    because the denominator of a point does not depend on the batch it is
+    evaluated in, and the scalar arithmetic repeats the order of operations
+    of the batched form, so the iterates are the same bit for bit as those
+    of an ascent that steps every seed, frozen ones in place, at every step.
     """
     c0, c1 = map(float, cell)
     lo0, lo1 = map(float, lo)
@@ -258,6 +274,8 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
             x0, x1 = points[i]
             _, d0, d1, length = state[i]
             shrink = min(1.0, radius[i] / length)
+            if length * shrink < _MIN_STEP_CELLS:
+                continue
             trial = [min(max(x0 + d0 * shrink * c0, lo0), hi0),
                      min(max(x1 + d1 * shrink * c1, lo1), hi1)]
             if trial == points[i]:

@@ -28,9 +28,10 @@ DEFAULT_THETA_LIM_RAD = math.radians(60.0)
 class Subspaces:
     """Partitioned eigenvectors of a sample covariance.
 
-    ``noise_basis`` columns are orthonormal. After target cancelation the
-    noise basis gains extra columns drawn from the signal span, so the
-    signal/noise partition only holds for freshly decomposed instances.
+    The columns of ``noise_basis`` and ``signal_basis`` together form an
+    orthonormal basis of C^M. Target cancelation moves one direction from
+    the signal side to the noise side, so the partition holds after every
+    cancelation too.
     """
 
     noise_basis: np.ndarray
@@ -181,18 +182,28 @@ def grid_steering(moments: np.ndarray, ranges_m: np.ndarray,
 
 
 class SpectrumEvaluator:
-    """Fast repeated pseudospectrum evaluation for one noise basis.
+    """Fast repeated pseudospectrum evaluation for one subspace partition.
 
-    Keeps the conjugated noise basis and reads the phase ramps and their
-    products from the grid geometry, so a point evaluation costs one complex
-    exponential and one matvec. Produces values identical to
-    ``music_value`` on ``decimated_steering`` vectors. The steering phase is
-    linear in (r, sin theta), which gives the denominator a closed-form
-    gradient and Hessian in those coordinates.
+    Keeps the conjugated noise and signal bases and reads the phase ramps
+    and their products from the grid geometry, so a point evaluation costs
+    one complex exponential and one matvec. ``value`` and ``values`` project
+    on the noise side and give values identical to ``music_value`` on
+    ``decimated_steering`` vectors. ``denominator``, the refiner's objective,
+    projects on the q signal columns instead of the M - q noise columns. The
+    two agree by the projector identity ||U_N^H v||^2 = M - ||U_S^H v||^2
+    for the unit-modulus steering vectors, but the signal form loses about
+    log10(M / den) digits near a peak. The refiner only compares
+    denominators, which tolerates that; the grid that seeds and gates
+    detections and every reported value keep full precision. The refiner
+    only runs on incomplete bases, while the scoring fallback also grids
+    complete ones, whose signal side is empty. The steering
+    phase is linear in (r, sin theta), which gives the denominator a
+    closed-form gradient and Hessian in those coordinates.
     """
 
     def __init__(self, subspaces: Subspaces, geometry: GridGeometry):
         self._noise_h = np.ascontiguousarray(subspaces.noise_basis.conj().T)
+        self._signal = np.ascontiguousarray(subspaces.signal_basis.conj())
         self._moments = geometry.moments
 
     def value(self, r: float, theta: float) -> float:
@@ -208,20 +219,22 @@ class SpectrumEvaluator:
 
     def denominator(self, ranges_m: np.ndarray, sines: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """||U_N^H v||^2 at points (r, sin theta), with gradient and Hessian.
+        """M - ||U_S^H v||^2 at points (r, sin theta), with gradient and Hessian.
 
         Every derivative of v = exp(j(r*a + s*b)) is v times a product of the
         phase ramps a, b, so one matmul projects them all. Returns arrays of
         shapes (n,), (n, 2) and (n, 2, 2), in (r, sin theta) coordinates.
         """
         v = _steering(self._moments, ranges_m, sines)
-        q = (v[:, np.newaxis, :] * self._moments) @ self._noise_h.T
+        q = (v[:, np.newaxis, :] * self._moments) @ self._signal
         # The factors j and j^2 that differentiation brings down fold into the
-        # signs: D_x = -2 Im(q_0^H q_x), D_xy = 2 Re(q_x^H q_y - q_0^H q_xy).
+        # signs of S = ||q_0||^2: S_x = -2 Im(q_0^H q_x) and
+        # S_xy = 2 Re(q_x^H q_y - q_0^H q_xy). The denominator is M - S.
         cross = np.einsum("nk,nmk->nm", q[:, 0].conj(), q)
         gram = np.einsum("nik,njk->nij", q[:, 1:3].conj(), q[:, 1:3]).real
         curvature = cross[:, [3, 4, 4, 5]].real.reshape(-1, 2, 2)
-        return cross[:, 0].real, -2.0 * cross[:, 1:3].imag, 2.0 * (gram - curvature)
+        return self._moments.shape[1] - cross[:, 0].real, \
+            2.0 * cross[:, 1:3].imag, 2.0 * (curvature - gram)
 
 
 def range_resolution(config: RadioConfig, plan: SubarrayPlan) -> float:

@@ -14,8 +14,9 @@ The set covers what a change to the estimator must not move by accident:
 ``tests/test_golden.py`` regenerates the set and compares it in exact bytes
 when those builds match, else at the outcome tier of :func:`outcome_problems`.
 
-A change that moves outputs on purpose regenerates the set with
-``PYTHONPATH=src python tests/golden_outputs.py`` and shows the diff.
+A change that moves outputs on purpose first prints how they move with
+``PYTHONPATH=src python tests/golden_outputs.py --compare``, then
+regenerates the set with ``PYTHONPATH=src python tests/golden_outputs.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,6 +225,16 @@ def generate() -> dict[str, str]:
 
 # -- outcome tier ----------------------------------------------------------
 
+class Difference(NamedTuple):
+    """One outcome-tier difference; ``moved_float`` marks a float that
+    differs by more than ``REL_TOL``, anything else is a changed outcome."""
+
+    where: str
+    golden: object
+    current: object
+    moved_float: bool = False
+
+
 def _close(a, b) -> bool:
     if isinstance(a, float) and isinstance(b, float):
         if math.isnan(a) or math.isnan(b):
@@ -230,22 +243,23 @@ def _close(a, b) -> bool:
     return a == b
 
 
-def _match(where: str, golden, current, problems: list[str]) -> None:
+def _match(where: str, golden, current, diffs: list[Difference]) -> None:
     """Exact on counts, flags and text; floats to ``REL_TOL`` relative."""
     if isinstance(golden, dict) and isinstance(current, dict):
         if golden.keys() != current.keys():
-            problems.append(f"{where}: keys {sorted(current)} != {sorted(golden)}")
+            diffs.append(Difference(f"{where} keys", sorted(golden), sorted(current)))
             return
         for key in golden:
-            _match(f"{where}.{key}", golden[key], current[key], problems)
+            _match(f"{where}.{key}", golden[key], current[key], diffs)
     elif isinstance(golden, list) and isinstance(current, list):
         if len(golden) != len(current):
-            problems.append(f"{where}: {len(current)} entries, golden {len(golden)}")
+            diffs.append(Difference(f"{where} entries", len(golden), len(current)))
             return
         for i, (g, c) in enumerate(zip(golden, current)):
-            _match(f"{where}[{i}]", g, c, problems)
+            _match(f"{where}[{i}]", g, c, diffs)
     elif not _close(golden, current):
-        problems.append(f"{where}: {current!r} != golden {golden!r}")
+        diffs.append(Difference(where, golden, current,
+                                isinstance(golden, float) and isinstance(current, float)))
 
 
 def _csv_rows(text: str) -> list[list]:
@@ -254,7 +268,7 @@ def _csv_rows(text: str) -> list[list]:
                                   for row in rows]
 
 
-def outcome_problems(name: str, golden: str, current: str) -> list[str]:
+def outcome_differences(name: str, golden: str, current: str) -> list[Difference]:
     """Differences of one golden file at the outcome tier.
 
     Detection counts, iterations, miss and flat-fallback flags, saturation
@@ -263,19 +277,20 @@ def outcome_problems(name: str, golden: str, current: str) -> list[str]:
     basis (rounding picks those), and so the RMSE columns of sweep points
     with a missed target.
     """
-    problems: list[str] = []
+    diffs: list[Difference] = []
     if name == "sweep.csv":
         g_rows, c_rows = _csv_rows(golden), _csv_rows(current)
         if g_rows[0] != c_rows[0] or len(g_rows) != len(c_rows):
-            return [f"{name}: header or row count differs"]
+            return [Difference(f"{name} header and row count",
+                               (g_rows[0], len(g_rows)), (c_rows[0], len(c_rows)))]
         for i, (g, c) in enumerate(zip(g_rows[1:], c_rows[1:])):
             for col in (0, 1, 4):   # x_value, p_missed, n_trials
                 if not (g[col] == c[col] or math.isnan(g[col]) and math.isnan(c[col])):
-                    problems.append(f"{name} row {i} column {col}: {c[col]!r} "
-                                    f"!= golden {g[col]!r}")
+                    diffs.append(Difference(f"{name} row {i} {g_rows[0][col]}",
+                                            g[col], c[col]))
             if g[1] == 0.0:   # no target missed: no fallback in the RMSEs
-                _match(f"{name} row {i} rmse", g[2:4], c[2:4], problems)
-        return problems
+                _match(f"{name} row {i} rmse", g[2:4], c[2:4], diffs)
+        return diffs
     g_doc, c_doc = json.loads(golden), json.loads(current)
     if name == "estimate.json":
         for g, c in zip(g_doc, c_doc):
@@ -286,14 +301,55 @@ def outcome_problems(name: str, golden: str, current: str) -> list[str]:
             for q, flat in enumerate(g["flat_fallback"]):
                 if flat:
                     g["errors"][q] = c["errors"][q] = None
-    _match(name, g_doc, c_doc, problems)
-    return problems
+    _match(name, g_doc, c_doc, diffs)
+    return diffs
+
+
+def outcome_problems(name: str, golden: str, current: str) -> list[str]:
+    """:func:`outcome_differences` as one line each."""
+    return [f"{d.where}: {d.current!r} != golden {d.golden!r}"
+            for d in outcome_differences(name, golden, current)]
+
+
+def compare_lines(name: str, golden: str, current: str) -> list[str]:
+    """A summary of :func:`outcome_differences` for one file.
+
+    Moved floats are grouped by where they sit, with indices of repeated
+    records read as ``[*]``, and given with their count and their largest
+    absolute and relative move. Every other difference is listed in full.
+    """
+    diffs = outcome_differences(name, golden, current)
+    moved = [d for d in diffs if d.moved_float]
+    lines = [f"{name}: {len(moved)} floats moved, "
+             f"{len(diffs) - len(moved)} other differences"]
+    groups: dict[str, list[Difference]] = {}
+    for d in moved:
+        where = re.sub(r"\[\d+\](?=.)", "[*]", re.sub(r"row \d+", "row *", d.where))
+        groups.setdefault(where, []).append(d)
+    for where, group in groups.items():
+        abs_move = max(abs(d.current - d.golden) for d in group)
+        rel_move = max(abs(d.current - d.golden) / max(abs(d.golden), ABS_TOL)
+                       for d in group)
+        lines.append(f"  {where}: {len(group)} moved, largest {abs_move:.3g} "
+                     f"absolute, {rel_move:.3g} relative")
+    lines += [f"  {d.where}: {d.current!r} != golden {d.golden!r}"
+              for d in diffs if not d.moved_float]
+    return lines
 
 
 def main(argv=None) -> int:
-    out_dir = (argv or sys.argv[1:] or [GOLDEN_DIR])[0]
-    os.makedirs(out_dir, exist_ok=True)
+    """Write a fresh golden set to ``GOLDEN_DIR`` or the given directory;
+    with ``--compare``, print how a fresh set differs from the recorded one
+    at the outcome tier instead."""
+    args = sys.argv[1:] if argv is None else argv
     files = generate()
+    if args[:1] == ["--compare"]:
+        for name, text in files.items():
+            with open(os.path.join(GOLDEN_DIR, name)) as f:
+                print("\n".join(compare_lines(name, f.read(), text)))
+        return 0
+    out_dir = (args or [GOLDEN_DIR])[0]
+    os.makedirs(out_dir, exist_ok=True)
     files["versions.json"] = json.dumps(versions(), indent=1) + "\n"
     for name, text in files.items():
         with open(os.path.join(out_dir, name), "w") as f:

@@ -187,9 +187,14 @@ class TestRefineCandidates:
                     np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
         assert x[0] == pytest.approx([0.0, 0.0], abs=1e-9)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_derivatives_match_finite_differences(self, seed):
-        params, subs, _, gc = random_scene(seed)
+    @pytest.mark.parametrize("seed, canceled", [(0, False), (1, False),
+                                                 (2, False), (0, True)],
+                             ids=["0", "1", "2", "0-canceled"])
+    def test_derivatives_match_finite_differences(self, seed, canceled):
+        params, subs, grid, gc = random_scene(seed)
+        if canceled:
+            r, th, _ = grid.argmax()
+            subs = cancel_target(subs, params, Detection(r, th, 0.0, 0))
         ev = SpectrumEvaluator(subs, grid_geometry(gc))
         rng = np.random.default_rng(seed)
         r = rng.uniform(1.0, 24.0, 8)
@@ -240,15 +245,20 @@ class TestCancelTarget:
             (Target(6.0, -0.3, 0.03 + 0j), Target(14.0, 0.4, 0.005 + 0j),
              Target(20.0, 0.9, 0.002 + 0j)), 15.0)
         n0 = subs.noise_basis.shape[1]
+        m = plan.samples_per_subarray
         out = subs
         for i, (r, th) in enumerate([(6.0, -0.3), (14.0, 0.4), (20.0, 0.9)]):
-            if out.noise_basis.shape[1] >= plan.samples_per_subarray:
+            if out.noise_basis.shape[1] >= m:
                 break
             out = cancel_target(out, params, Detection(r, th, 0.0, i))
-            basis = out.noise_basis
+            basis, signal = out.noise_basis, out.signal_basis
             assert basis.shape[1] == n0 + i + 1
+            assert basis.shape[1] + signal.shape[1] == m
             gram = basis.conj().T @ basis
             assert np.max(np.abs(gram - np.eye(basis.shape[1]))) < 1e-9
+            gram = signal.conj().T @ signal
+            assert np.max(np.abs(gram - np.eye(signal.shape[1])), initial=0) < 1e-9
+            assert np.max(np.abs(signal.conj().T @ basis), initial=0) < 1e-9
         assert out.noise_basis.shape[1] > n0
 
     def test_duplicate_cancel_raises(self):
@@ -580,7 +590,8 @@ def ascend_reference(evaluator, x, cell, lo, hi):
     """The Newton ascent before it skipped repeated trial points.
 
     It holds every seed's state in (n, 2) arrays and evaluates every seed at
-    every one of the ``_ASCENT_STEPS`` steps.
+    every one of the ``_ASCENT_STEPS`` steps. A seed whose capped step is
+    shorter than ``_MIN_STEP_CELLS`` is frozen for good.
     """
     free = hi > lo
     scale = np.outer(cell, cell) * np.outer(free, free)
@@ -592,6 +603,7 @@ def ascend_reference(evaluator, x, cell, lo, hi):
     x = np.array(x, dtype=float)
     den, grad, hess = evaluate(x)
     radius = np.full(len(x), detection._MAX_STEP_CELLS)
+    frozen = np.zeros(len(x), dtype=bool)
     for _ in range(detection._ASCENT_STEPS):
         h00, h01, h11 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
         det = h00 * h11 - h01 * h01
@@ -605,14 +617,15 @@ def ascend_reference(evaluator, x, cell, lo, hi):
         step = np.where(convex[:, np.newaxis], newton, descent)
         length = np.linalg.norm(step, axis=1)
         shrink = np.minimum(1.0, radius / np.where(length > 0, length, 1.0))
+        frozen |= length * shrink < detection._MIN_STEP_CELLS
         trial = np.clip(x + step * shrink[:, np.newaxis] * cell, lo, hi)
         den_t, grad_t, hess_t = evaluate(trial)
-        better = den_t < den
+        better = (den_t < den) & ~frozen
         x[better], den[better] = trial[better], den_t[better]
         grad[better], hess[better] = grad_t[better], hess_t[better]
-        radius = np.where(better,
-                          np.minimum(2.0 * radius, detection._MAX_STEP_CELLS),
-                          radius / 2.0)
+        radius = np.where(frozen, radius, np.where(
+            better, np.minimum(2.0 * radius, detection._MAX_STEP_CELLS),
+            radius / 2.0))
     return x
 
 
@@ -674,7 +687,10 @@ class TestAscend:
                               ascend_reference(ev, x, cell, lo, hi))
 
     @pytest.mark.parametrize("evaluator, x, cell, lo, hi", [
-        (Quadratic(), [[9.0, 0.4], [-10.0, 1.0], [3.7, -0.2], [10.0, -1.0]],
+        # The last start is 2e-7 cells from the minimum: its first step is
+        # under _MIN_STEP_CELLS, so it stops before reaching the fixpoint.
+        (Quadratic(), [[9.0, 0.4], [-10.0, 1.0], [3.7, -0.2], [10.0, -1.0],
+                       [3.7 + 1e-7, -0.2]],
          [0.5, 0.1], [-10.0, -1.0], [10.0, 1.0]),
         # The first start has an indefinite Hessian; two start on a bound.
         (Cosines(), [[1.2, -1.0], [4.0, 4.0], [-4.0, 0.3], [3.1, -2.9]],
@@ -691,6 +707,14 @@ class TestAscend:
             assert np.array_equal(
                 _ascend(evaluator, seed[np.newaxis], cell, lo, hi),
                 ascend_reference(evaluator, seed[np.newaxis], cell, lo, hi))
+
+    def test_step_under_the_minimum_stops_the_seed(self):
+        start = np.array([[3.7 + 1e-7, -0.2], [3.7 + 1e-5, -0.2]])
+        x = _ascend(Quadratic(), start, np.array([0.5, 0.1]),
+                    np.array([-10.0, -1.0]), np.array([10.0, 1.0]))
+        assert np.array_equal(x[0], start[0])
+        assert x[1] == pytest.approx([3.7, -0.2], abs=1e-12)
+        assert x[1, 0] != start[1, 0]
 
     @pytest.mark.parametrize("plan_name", sorted(TestDetectLoop.PLANS))
     def test_denominator_rows_do_not_depend_on_the_batch(self, plan_name):

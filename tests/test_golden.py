@@ -76,3 +76,15 @@ class TestOutcomeTier:
         assert not doc[i]["flat_fallback"][1 - q]
         doc[i]["errors"][1 - q][0] += 5.0
         assert len(self.problems(doc)) == 1
+
+    def test_compare_groups_moved_floats_and_lists_the_rest(self):
+        doc = self.trials()
+        for rec in doc[:3]:
+            rec["threshold"] *= 1 + 1e-6
+        doc[5]["missed"][1] = not doc[5]["missed"][1]
+        lines = golden.compare_lines("trials.json", recorded("trials.json"),
+                                     json.dumps(doc))
+        assert lines[0] == "trials.json: 3 floats moved, 1 other differences"
+        assert lines[1].startswith("  trials.json[*].threshold: 3 moved, ")
+        assert lines[2].startswith("  trials.json[5].missed[1]: ")
+        assert len(lines) == 3
