@@ -190,9 +190,13 @@ def cancel_target(subspaces: Subspaces, params: SteeringParams,
 
 def _merge_peaks(peaks: list[tuple[float, float, float]], radius_r: float,
                  radius_theta: float) -> list[tuple[float, float, float]]:
-    """Drop peaks within the merge radius of a stronger one (in both dims)."""
+    """Drop peaks within the merge radius of a stronger one (in both dims).
+
+    ``peaks`` are (r, theta, denominator) triples, and a lower denominator is
+    a stronger peak. The kept ones come back strongest first.
+    """
     kept: list[tuple[float, float, float]] = []
-    for p in sorted(peaks, key=lambda p: -p[2]):
+    for p in sorted(peaks, key=lambda p: p[2]):
         dup = any(abs(p[0] - q[0]) < radius_r and abs(p[1] - q[1]) < radius_theta
                   for q in kept)
         if not dup:
@@ -201,7 +205,7 @@ def _merge_peaks(peaks: list[tuple[float, float, float]], radius_r: float,
 
 
 def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
-            lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+            lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Climb the pseudospectrum from each row of ``x``, a point (r, sin theta).
 
     Minimizes the denominator in grid-cell units: a Newton step where its
@@ -209,7 +213,16 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
     elsewhere, capped at a per-point trust radius that halves on a rejected
     step and doubles back up to one cell on an accepted one. A step is kept
     only if it lowers the denominator, and is clipped to [lo, hi]; an axis
-    with lo == hi is not searched.
+    with lo == hi is not searched. Returns the final points and their
+    denominators.
+
+    An axis on which a point sits on a bound of [lo, hi] while its step
+    points out of the box is held for that step, as a zero-width axis is (no
+    slope, unit curvature), and the step is taken again on the other axis:
+    the projected Newton step for box constraints (Bertsekas, SIAM J.
+    Control Optim. 20(2), 1982). A point with both axes held has stopped. A
+    clipped step would instead creep along the bound until the step budget
+    runs out.
 
     Each seed's state is a handful of Python floats, and its step is
     recomputed only when it accepts a move. A step evaluates, in one batched
@@ -229,42 +242,51 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
     c0, c1 = map(float, cell)
     lo0, lo1 = map(float, lo)
     hi0, hi1 = map(float, hi)
-    f0, f1 = float(hi0 > lo0), float(hi1 > lo1)
-    s00, s01, s11 = c0 * c0 * f0, c0 * c1 * (f0 * f1), c1 * c1 * f1
-    # A frozen axis gets a unit curvature and no slope: it never moves.
-    e0, e1 = 1.0 - f0, 1.0 - f1
+    free0, free1 = float(hi0 > lo0), float(hi1 > lo1)
 
     def evaluate(points):
         pts = np.array(points, dtype=float).reshape(-1, 2)
         den, grad, hess = evaluator.denominator(pts[:, 0], pts[:, 1])
         return zip(den.tolist(), grad.tolist(), hess.tolist())
 
-    def step(grad, hess):
-        """(d0, d1, length) of a point's step in cell units.
+    def direction(grad, hess, f0, f1):
+        """(d0, d1) in cell units, searching the axes whose flag is 1.0.
 
         A Newton step where the Hessian is positive definite, else a unit
-        step down the gradient; a zero length reads as 1.0.
+        step down the gradient.
         """
         g0, g1 = grad[0] * c0 * f0, grad[1] * c1 * f1
-        # The added terms are the batched form's identity on frozen axes;
-        # adding 0.0 also turns its -0.0 into 0.0, as that form did.
-        h00 = hess[0][0] * s00 + e0
-        h01 = hess[0][1] * s01 + 0.0
-        h11 = hess[1][1] * s11 + e1
+        # A held axis gets a unit curvature and no slope: it never moves.
+        # Adding 0.0 also turns a -0.0 into 0.0, as the batched form does.
+        h00 = hess[0][0] * (c0 * c0 * f0) + (1.0 - f0)
+        h01 = hess[0][1] * (c0 * c1 * (f0 * f1)) + 0.0
+        h11 = hess[1][1] * (c1 * c1 * f1) + (1.0 - f1)
         det = h00 * h11 - h01 * h01
         if h00 > 0 and det > 0:
-            d0, d1 = -(h11 * g0 - h01 * g1) / det, -(h00 * g1 - h01 * g0) / det
-        else:
-            slope = math.sqrt(g0 * g0 + g1 * g1)
-            if not slope > 0:
-                slope = 1.0
-            d0, d1 = -g0 / slope, -g1 / slope
+            return -(h11 * g0 - h01 * g1) / det, -(h00 * g1 - h01 * g0) / det
+        slope = math.sqrt(g0 * g0 + g1 * g1)
+        if not slope > 0:
+            slope = 1.0
+        return -g0 / slope, -g1 / slope
+
+    def step(point, grad, hess):
+        """(d0, d1, length) of the step from ``point``; a zero length reads
+        as 1.0. An axis whose step leaves the box from its bound is held."""
+        x0, x1 = point
+        f0, f1 = free0, free1
+        while True:
+            d0, d1 = direction(grad, hess, f0, f1)
+            out0 = f0 and (x0 <= lo0 and d0 < 0 or x0 >= hi0 and d0 > 0)
+            out1 = f1 and (x1 <= lo1 and d1 < 0 or x1 >= hi1 and d1 > 0)
+            if not (out0 or out1):
+                break
+            f0, f1 = (0.0 if out0 else f0), (0.0 if out1 else f1)
         length = math.sqrt(d0 * d0 + d1 * d1)
         return d0, d1, length if length > 0 else 1.0
 
     points = np.asarray(x, dtype=float).reshape(-1, 2).tolist()
-    state = [(den, *step(grad, hess))
-             for den, grad, hess in evaluate(points)]
+    state = [(den, *step(point, grad, hess))
+             for point, (den, grad, hess) in zip(points, evaluate(points))]
     radius = [_MAX_STEP_CELLS] * len(points)
     rejected = [None] * len(points)
     active = list(range(len(points)))
@@ -291,7 +313,7 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
                                                    evaluate(trials)):
                 if den < state[i][0]:
                     points[i] = trial
-                    state[i] = (den, *step(grad, hess))
+                    state[i] = (den, *step(trial, grad, hess))
                     radius[i] = min(2.0 * radius[i], _MAX_STEP_CELLS)
                 else:
                     radius[i] /= 2.0
@@ -299,20 +321,25 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
         active = moving
         if not active:
             break
-    return np.array(points, dtype=float).reshape(-1, 2)
+    return np.array(points, dtype=float).reshape(-1, 2), \
+        np.array([s[0] for s in state], dtype=float)
 
 
 def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
                       grid: SpectrumGrid,
                       n_seeds: int) -> list[tuple[float, float, float]]:
-    """Refine the ``n_seeds`` strongest points of ``grid``; merged, unsorted.
+    """Refine the ``n_seeds`` strongest points of ``grid``; merged, strongest
+    first.
 
     The ascent runs in (r, sin theta), where the steering phase is linear,
     in the search box and grid cells of the geometry of ``grid_config``.
     Refined points pinned against a search-domain edge are dropped: they are
     boundary maxima, not spectrum peaks. In particular the aliased skirt of
     a near-zero-range target wraps in just below the unambiguous range and
-    would otherwise masquerade as a detection there.
+    would otherwise masquerade as a detection there. The rest are merged on
+    the denominators the ascent ends with, and only the survivors are
+    valued, by :meth:`SpectrumEvaluator.value` on the noise side, at full
+    precision.
     """
     geometry = grid_geometry(grid_config)
     lo, hi, cell = geometry.lo, geometry.hi, geometry.cell
@@ -321,17 +348,16 @@ def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
     order = np.argsort(-flat, kind="stable")[:min(n_seeds, flat.size)]
     rows, cols = np.divmod(order, grid.angles_rad.size)
     seeds = np.column_stack([grid.ranges_m[rows], np.sin(grid.angles_rad[cols])])
-    refined = _ascend(evaluator, seeds, cell, lo, hi)
+    refined, den = _ascend(evaluator, seeds, cell, lo, hi)
     margin = np.minimum(refined - lo, hi - refined) / cell
     pinned = np.any((margin < 1e-6) & (hi > lo), axis=1)
-    peaks = []
-    for r, s in refined[~pinned]:
-        th = math.asin(s)
-        peaks.append((float(r), th, evaluator.value(r, th)))
+    peaks = [(r, math.asin(s), d) for (r, s), d in
+             zip(refined[~pinned].tolist(), den[~pinned].tolist())]
     radius_r = _MERGE_RADIUS_CELLS * float(cell[0])
     radius_theta = _MERGE_RADIUS_CELLS * float(cell[1]) \
         if geometry.angles_rad.size > 1 else math.inf
-    return _merge_peaks(peaks, radius_r, radius_theta)
+    return [(r, th, evaluator.value(r, th))
+            for r, th, _ in _merge_peaks(peaks, radius_r, radius_theta)]
 
 
 def _noise_spans_space(subspaces: Subspaces) -> bool:

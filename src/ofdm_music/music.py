@@ -184,9 +184,13 @@ def grid_steering(moments: np.ndarray, ranges_m: np.ndarray,
 class SpectrumEvaluator:
     """Fast repeated pseudospectrum evaluation for one subspace partition.
 
-    Keeps the conjugated noise and signal bases and reads the phase ramps
-    and their products from the grid geometry, so a point evaluation costs
-    one complex exponential and one matvec. ``value`` and ``values`` project
+    Keeps the conjugated noise basis and reads the phase ramps and their
+    products, the six moment rows, from the grid geometry, so a point
+    evaluation costs one complex exponential and one matvec. The moment rows
+    are folded into the conjugated signal basis once, as the (M, 6q) matrix
+    whose column k*q + j is column j scaled by row k: one projection of a
+    steering vector then gives every product the denominator's gradient and
+    Hessian need. ``value`` and ``values`` project
     on the noise side and give values identical to ``music_value`` on
     ``decimated_steering`` vectors. ``denominator``, the refiner's objective,
     projects on the q signal columns instead of the M - q noise columns. The
@@ -203,8 +207,10 @@ class SpectrumEvaluator:
 
     def __init__(self, subspaces: Subspaces, geometry: GridGeometry):
         self._noise_h = np.ascontiguousarray(subspaces.noise_basis.conj().T)
-        self._signal = np.ascontiguousarray(subspaces.signal_basis.conj())
         self._moments = geometry.moments
+        signal = subspaces.signal_basis.conj()
+        self._weighted = (self._moments.T[:, :, np.newaxis]
+                          * signal[:, np.newaxis, :]).reshape(len(signal), -1)
 
     def value(self, r: float, theta: float) -> float:
         v = _steering(self._moments, r, math.sin(theta))
@@ -226,7 +232,11 @@ class SpectrumEvaluator:
         shapes (n,), (n, 2) and (n, 2, 2), in (r, sin theta) coordinates.
         """
         v = _steering(self._moments, ranges_m, sines)
-        q = (v[:, np.newaxis, :] * self._moments) @ self._signal
+        # One (1, M) x (M, 6q) product per point: a stacked matmul, so a
+        # point's bits do not depend on the batch it comes in.
+        rows = len(self._moments)
+        q = (v[:, np.newaxis, :] @ self._weighted).reshape(
+            len(v), rows, self._weighted.shape[1] // rows)
         # The factors j and j^2 that differentiation brings down fold into the
         # signs of S = ||q_0||^2: S_x = -2 Im(q_0^H q_x) and
         # S_xy = 2 Re(q_x^H q_y - q_0^H q_xy). The denominator is M - S.

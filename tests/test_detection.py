@@ -122,6 +122,27 @@ class BumpedParabola:
         return r ** 2 / 1000.0 + bump, grad, hess
 
 
+class TiltedTrough:
+    """Denominator (r - 3)^2 - 5 s: a trough in r whose floor falls toward
+    larger s everywhere, so its minima in a box lie on the top edge in s."""
+
+    def denominator(self, r, s):
+        grad = np.stack([2.0 * (r - 3.0), np.full_like(s, -5.0)], axis=1)
+        hess = np.broadcast_to(np.diag([2.0, 0.0]), (len(r), 2, 2))
+        return (r - 3.0) ** 2 - 5.0 * s, grad, hess
+
+
+class Counted:
+    """Wraps a closed-form evaluator and keeps every batch it evaluates."""
+
+    def __init__(self, evaluator):
+        self.evaluator, self.batches = evaluator, []
+
+    def denominator(self, r, s):
+        self.batches.append(np.column_stack([r, s]))
+        return self.evaluator.denominator(r, s)
+
+
 class TestRefineCandidates:
     LIM = DEFAULT_THETA_LIM_RAD
 
@@ -146,6 +167,21 @@ class TestRefineCandidates:
         for r, th, v in peaks:
             assert v == ev.value(r, th)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_values_only_the_returned_peaks(self, seed, monkeypatch):
+        params, subs, grid, gc = random_scene(seed)
+        valued = []
+        value = SpectrumEvaluator.value
+
+        def counted(self, r, theta):
+            valued.append((r, theta))
+            return value(self, r, theta)
+
+        monkeypatch.setattr(SpectrumEvaluator, "value", counted)
+        peaks = refine_candidates(subs, gc, grid, 10)
+        assert peaks
+        assert valued == [(r, th) for r, th, _ in peaks]
+
     def test_degenerate_axis_not_searched(self):
         for seed in range(5):
             params, subs, grid, gc = random_scene(seed, plan=range_only_plan(
@@ -168,23 +204,23 @@ class TestRefineCandidates:
 
     def test_quadratic_converges(self):
         # About twelve cells from the minimum: capped steps, then exact Newton.
-        x = _ascend(Quadratic(), np.array([[9.0, 0.4]]), np.array([0.5, 0.1]),
-                    np.array([-10.0, -1.0]), np.array([10.0, 1.0]))
+        x, _ = _ascend(Quadratic(), np.array([[9.0, 0.4]]), np.array([0.5, 0.1]),
+                       np.array([-10.0, -1.0]), np.array([10.0, 1.0]))
         assert x[0] == pytest.approx([3.7, -0.2], abs=1e-9)
 
     def test_trust_radius_regrows_after_a_rejected_step(self):
         # The first capped step lands on the bump and is rejected; the
         # remaining 14.5 cells fit in the step budget only at full radius.
-        x = _ascend(BumpedParabola(), np.array([[15.0, 0.0]]), np.ones(2),
-                    np.array([-20.0, 0.0]), np.array([20.0, 0.0]))
+        x, _ = _ascend(BumpedParabola(), np.array([[15.0, 0.0]]), np.ones(2),
+                       np.array([-20.0, 0.0]), np.array([20.0, 0.0]))
         assert x[0] == pytest.approx([0.0, 0.0], abs=1e-9)
 
     def test_separable_multimodal(self):
         # The start is where the Hessian is indefinite: gradient steps first.
         start = np.array([[1.2, -1.0]])
         assert np.linalg.eigvalsh(Cosines().denominator(*start.T)[2])[0, 0] < 0
-        x = _ascend(Cosines(), start, np.array([0.5, 0.5]),
-                    np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
+        x, _ = _ascend(Cosines(), start, np.array([0.5, 0.5]),
+                       np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
         assert x[0] == pytest.approx([0.0, 0.0], abs=1e-9)
 
     @pytest.mark.parametrize("seed, canceled", [(0, False), (1, False),
@@ -591,42 +627,59 @@ def ascend_reference(evaluator, x, cell, lo, hi):
 
     It holds every seed's state in (n, 2) arrays and evaluates every seed at
     every one of the ``_ASCENT_STEPS`` steps. A seed whose capped step is
-    shorter than ``_MIN_STEP_CELLS`` is frozen for good.
+    shorter than ``_MIN_STEP_CELLS`` is frozen for good. An axis on which a
+    seed sits on a bound while its step points out of the box is held for
+    the step, as a zero-width axis is, and the step is taken again on the
+    other axes. Returns the final points and their denominators.
     """
     free = hi > lo
-    scale = np.outer(cell, cell) * np.outer(free, free)
 
-    def evaluate(x):
-        den, grad, hess = evaluator.denominator(x[:, 0], x[:, 1])
-        return den, grad * cell * free, hess * scale + np.diag(~free)
-
-    x = np.array(x, dtype=float)
-    den, grad, hess = evaluate(x)
-    radius = np.full(len(x), detection._MAX_STEP_CELLS)
-    frozen = np.zeros(len(x), dtype=bool)
-    for _ in range(detection._ASCENT_STEPS):
-        h00, h01, h11 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+    def direction(grad, hess, axes):
+        """Newton or unit gradient steps in cell units on the ``axes`` rows."""
+        g = grad * cell * axes
+        scale = np.outer(cell, cell) * (axes[:, :, np.newaxis]
+                                        & axes[:, np.newaxis, :])
+        h = hess * scale + np.eye(2) * ~axes[:, np.newaxis, :]
+        h00, h01, h11 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
         det = h00 * h11 - h01 * h01
         convex = (h00 > 0) & (det > 0)
         det = np.where(convex, det, 1.0)
-        newton = -np.stack([h11 * grad[:, 0] - h01 * grad[:, 1],
-                            h00 * grad[:, 1] - h01 * grad[:, 0]], axis=1) \
+        newton = -np.stack([h11 * g[:, 0] - h01 * g[:, 1],
+                            h00 * g[:, 1] - h01 * g[:, 0]], axis=1) \
             / det[:, np.newaxis]
-        slope = np.linalg.norm(grad, axis=1, keepdims=True)
-        descent = -grad / np.where(slope > 0, slope, 1.0)
-        step = np.where(convex[:, np.newaxis], newton, descent)
+        slope = np.linalg.norm(g, axis=1, keepdims=True)
+        descent = -g / np.where(slope > 0, slope, 1.0)
+        return np.where(convex[:, np.newaxis], newton, descent)
+
+    x = np.array(x, dtype=float)
+    den, grad, hess = map(np.array, evaluator.denominator(x[:, 0], x[:, 1]))
+    radius = np.full(len(x), detection._MAX_STEP_CELLS)
+    frozen = np.zeros(len(x), dtype=bool)
+    for _ in range(detection._ASCENT_STEPS):
+        axes = np.broadcast_to(free, x.shape)
+        while True:
+            step = direction(grad, hess, axes)
+            out = axes & (((x <= lo) & (step < 0)) | ((x >= hi) & (step > 0)))
+            if not out.any():
+                break
+            axes = axes & ~out
         length = np.linalg.norm(step, axis=1)
         shrink = np.minimum(1.0, radius / np.where(length > 0, length, 1.0))
         frozen |= length * shrink < detection._MIN_STEP_CELLS
         trial = np.clip(x + step * shrink[:, np.newaxis] * cell, lo, hi)
-        den_t, grad_t, hess_t = evaluate(trial)
+        den_t, grad_t, hess_t = evaluator.denominator(trial[:, 0], trial[:, 1])
         better = (den_t < den) & ~frozen
         x[better], den[better] = trial[better], den_t[better]
         grad[better], hess[better] = grad_t[better], hess_t[better]
         radius = np.where(frozen, radius, np.where(
             better, np.minimum(2.0 * radius, detection._MAX_STEP_CELLS),
             radius / 2.0))
-    return x
+    return x, den
+
+
+def same_ascent(got, want):
+    """Whether the points and denominators of two ascents agree bit for bit."""
+    return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 def two_target_scenes(plan_name, n):
@@ -667,8 +720,8 @@ class TestAscend:
                 detect(subs, params, gc, DetectorConfig(routine=routine))
         assert len(calls) >= 300
         for i, (evaluator, x, cell, lo, hi) in enumerate(calls):
-            assert np.array_equal(_ascend(evaluator, x, cell, lo, hi),
-                                  ascend_reference(evaluator, x, cell, lo, hi)), i
+            assert same_ascent(_ascend(evaluator, x, cell, lo, hi),
+                               ascend_reference(evaluator, x, cell, lo, hi)), i
 
     @pytest.mark.parametrize("plan_name", sorted(TestDetectLoop.PLANS))
     def test_matches_reference_from_domain_bounds(self, plan_name):
@@ -683,8 +736,8 @@ class TestAscend:
             lo, hi = np.array([0.0, -s_lim]), np.array([r_hi, s_lim])
         x = np.array([[0.0, lo[1]], [r_hi, hi[1]], [0.0, hi[1]], [r_hi, lo[1]],
                       [0.5 * r_hi, lo[1]], [0.0, 0.0], [r_hi, 0.0]])
-        assert np.array_equal(_ascend(ev, x, cell, lo, hi),
-                              ascend_reference(ev, x, cell, lo, hi))
+        assert same_ascent(_ascend(ev, x, cell, lo, hi),
+                           ascend_reference(ev, x, cell, lo, hi))
 
     @pytest.mark.parametrize("evaluator, x, cell, lo, hi", [
         # The last start is 2e-7 cells from the minimum: its first step is
@@ -701,17 +754,63 @@ class TestAscend:
     ], ids=["quadratic", "cosines", "bumped_parabola"])
     def test_matches_reference_on_closed_forms(self, evaluator, x, cell, lo, hi):
         x, cell, lo, hi = map(np.array, (x, cell, lo, hi))
-        assert np.array_equal(_ascend(evaluator, x, cell, lo, hi),
-                              ascend_reference(evaluator, x, cell, lo, hi))
+        assert same_ascent(_ascend(evaluator, x, cell, lo, hi),
+                           ascend_reference(evaluator, x, cell, lo, hi))
         for seed in x:
-            assert np.array_equal(
+            assert same_ascent(
                 _ascend(evaluator, seed[np.newaxis], cell, lo, hi),
                 ascend_reference(evaluator, seed[np.newaxis], cell, lo, hi))
 
+    BOX = np.array([1.0, 0.1]), np.array([0.0, -1.0]), np.array([10.0, 1.0])
+
+    def test_outward_axis_is_held_on_its_bound(self):
+        # The step from s = 1 points out of the box: s is held, and a
+        # Newton step in r alone reaches the trough.
+        trough = Counted(TiltedTrough())
+        x, den = _ascend(trough, np.array([[3.8, 1.0]]), *self.BOX)
+        assert len(trough.batches) <= 3   # the start and at most 2 steps
+        assert x[0, 0] == pytest.approx(3.0, abs=1e-12)
+        assert x[0, 1] == 1.0
+        assert all(batch[0, 1] == 1.0 for batch in trough.batches)
+        assert den[0] == TiltedTrough().denominator(x[:, 0], x[:, 1])[0][0]
+
+    def test_inward_step_leaves_the_bound(self):
+        # From s = -1 the step points into the box, so the seed leaves the
+        # bound; from the corner (0, -1) too.
+        start = np.array([[3.8, -1.0], [0.0, -1.0]])
+        x, den = _ascend(TiltedTrough(), start, *self.BOX)
+        assert np.all(x[:, 1] > -1.0)
+        assert np.all(den < TiltedTrough().denominator(start[:, 0],
+                                                       start[:, 1])[0])
+        x, _ = _ascend(Quadratic(), np.array([[3.7, 1.0], [10.0, -1.0]]),
+                       np.array([0.5, 0.1]), *self.BOX[1:])
+        assert x == pytest.approx(np.array([[3.7, -0.2]] * 2), abs=1e-9)
+
+    def test_few_ascents_run_into_the_step_cap(self, monkeypatch):
+        # An ascent runs into the cap when a longer budget would evaluate
+        # more points. Clipped steps that crept along the edge of the search
+        # box used to do so in about half of these ascents.
+        calls = record_ascents(monkeypatch)
+        for subs, params, gc in two_target_scenes("baseline", 100):
+            detect(subs, params, gc, DetectorConfig())
+        capped = 0
+        for evaluator, x, cell, lo, hi in calls:
+            counts = []
+            for steps in (detection._ASCENT_STEPS,
+                          10 * detection._ASCENT_STEPS):
+                monkeypatch.setattr(detection, "_ASCENT_STEPS", steps)
+                counted = Counted(evaluator)
+                _ascend(counted, x, cell, lo, hi)
+                counts.append(sum(map(len, counted.batches)))
+            monkeypatch.undo()
+            capped += counts[0] < counts[1]
+        assert len(calls) >= 100
+        assert capped <= 0.1 * len(calls)
+
     def test_step_under_the_minimum_stops_the_seed(self):
         start = np.array([[3.7 + 1e-7, -0.2], [3.7 + 1e-5, -0.2]])
-        x = _ascend(Quadratic(), start, np.array([0.5, 0.1]),
-                    np.array([-10.0, -1.0]), np.array([10.0, 1.0]))
+        x, _ = _ascend(Quadratic(), start, np.array([0.5, 0.1]),
+                       np.array([-10.0, -1.0]), np.array([10.0, 1.0]))
         assert np.array_equal(x[0], start[0])
         assert x[1] == pytest.approx([3.7, -0.2], abs=1e-12)
         assert x[1, 0] != start[1, 0]

@@ -4,7 +4,8 @@
 and reads some of their parameters by name (``n_seeds`` and ``grid`` of
 ``refine_candidates``, ``report`` of ``assign_and_score``). A rename there
 would leave its counters at zero; this guard fails on it in the package's own
-test run.
+test run. So would a refiner that valued its peaks other than through
+``SpectrumEvaluator.value``, the point evaluation the tracer counts.
 """
 
 import os
@@ -33,6 +34,29 @@ def test_traced_mc_sweep_counts_every_layer(monkeypatch):
     for counter in ("decompose", "seeds", "score"):
         assert tracer.counts[counter] > 0, counter
     assert ofdm_music.harness.run_trial.__globals__["detect"] is ofdm_music.detect
+
+
+def test_traced_estimate_frames_counts_refinement_and_point_values(
+        monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import spans
+    import workloads
+
+    workload = workloads.make("estimate-frames", 3, str(tmp_path / "work"))
+    workload.setup()
+    tracer = spans.Tracer()
+    restore = spans.instrument(tracer, ofdm_music)
+    try:
+        for i in range(workload.op_quantum):
+            frame = workload.prepare(i)
+            with tracer.operation(units=1):
+                workload.execute(frame)
+    finally:
+        restore()
+        workload.close()
+    assert tracer.point_calls > 0
+    assert tracer.self_ns["detection.refine"]
+    assert tracer.counts["seeds"] > 0 and tracer.counts["peaks"] > 0
 
 
 def test_every_workload_runs_one_quantum(monkeypatch, tmp_path):
