@@ -4,9 +4,9 @@ Two-target trials draw a common base range and independent azimuths, move the
 second target out by the sweep's range difference, and keep the random
 geometry fixed across sweep points for a given trial index. Detection errors
 follow the range-based assignment rule: with two detections the one nearer
-the array maps to the nearer target; with fewer detections the coarse-grid
-maximum (after canceling any detection already made) stands in for the
-missing estimate.
+the array maps to the nearer target; with fewer detections a missing
+estimate takes the strongest sample of the trial's coarse grid outside the
+main lobe of the estimate already made.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .detection import (Detection, DetectionReport, DetectorConfig,
-                        cancel_target, cfar_threshold, detect,
-                        empirical_quantile, refine_candidates)
-from .errors import AlreadyCanceledError, ConfigError, DomainError
-from .music import (DEFAULT_THETA_LIM_RAD, GridConfig, Subspaces, coarse_grid,
-                    decompose, grid_geometry)
+from .detection import (DetectionReport, DetectorConfig, cfar_threshold,
+                        detect, empirical_quantile, refine_candidates)
+from .errors import ConfigError, DomainError
+from .music import (DEFAULT_THETA_LIM_RAD, GridConfig, SpectrumGrid, Subspaces,
+                    coarse_grid, decompose, grid_geometry)
 from .signal_model import (RadioConfig, Target, TargetScene, scene_coefficient,
                            synthesize_csi)
 from .smoothing import SubarrayPlan, covariance, smooth
@@ -42,6 +41,11 @@ _GEOMETRY_TAG = 0
 _COEFF_TAG = 1
 _NOISE_TAG = 2
 _CALIBRATION_TAG = 3
+
+# Half-width, in grid cells on both axes, of the main lobe (+-1 resolution
+# cell, +-2 grid cells) masked around a point. The extra half cell keeps grid
+# samples off the mask edge when the point is one, so rounding never sets it.
+_MAIN_LOBE_CELLS = 2.5
 
 
 @dataclass(frozen=True)
@@ -166,30 +170,35 @@ def noise_variance_for_snr(scene: TargetScene, config: RadioConfig,
 
 
 class ScoringContext:
-    """Coarse-grid fallback estimates for trials with missed detections."""
+    """Stand-ins for missed targets, read off the trial's first coarse grid,
+    built on first use. An order-0 estimate leaves that grid flat, and only
+    then does rounding pick the stand-ins."""
 
     def __init__(self, subspaces: Subspaces, grid_config: GridConfig):
         self.subspaces = subspaces
         self.grid_config = grid_config
 
-    def _argmax(self, subspaces: Subspaces) -> tuple[float, float]:
-        r, th, _ = coarse_grid(subspaces, self.grid_config).argmax()
-        return r, th
+    @functools.cached_property
+    def grid(self) -> SpectrumGrid:
+        return coarse_grid(self.subspaces, self.grid_config)
 
     def grid_argmax(self) -> tuple[float, float]:
-        return self._argmax(self.subspaces)
+        r, th, _ = self.grid.argmax()
+        return r, th
 
     def residual_argmax(self, canceled: list[tuple[float, float]]
                         ) -> tuple[float, float]:
-        """Grid maximum after canceling the given (range, azimuth) points."""
-        subs = self.subspaces
-        params = grid_geometry(self.grid_config).params
+        """Strongest grid sample outside ``_MAIN_LOBE_CELLS`` cells on both axes
+        of each point; ranges wrap at r_max, their steering phase's period."""
+        grid, g = self.grid, grid_geometry(self.grid_config)
+        r_max, values = g.params.r_max_m, grid.values.copy()
         for r, th in canceled:
-            try:
-                subs = cancel_target(subs, params, Detection(r, th, 0.0, 0))
-            except AlreadyCanceledError:
-                continue
-        return self._argmax(subs)
+            dr = (grid.ranges_m - r) % r_max
+            near_r = np.minimum(dr, r_max - dr) < _MAIN_LOBE_CELLS * g.cell[0]
+            near_th = np.abs(grid.angles_rad - th) < _MAIN_LOBE_CELLS * g.cell[1]
+            values[np.ix_(near_r, near_th)] = -np.inf
+        r, th, _ = SpectrumGrid(grid.ranges_m, grid.angles_rad, values).argmax()
+        return r, th
 
 
 def assign_and_score(truth, report: DetectionReport,
@@ -200,9 +209,9 @@ def assign_and_score(truth, report: DetectionReport,
     ``truth`` is ((r1, th1), (r2, th2)) with target 1 nearer. With two or
     more detections the two strongest are kept and the nearer-in-range one is
     assigned to target 1. A single detection always scores against target 1;
-    target 2 then takes the coarse-grid maximum after canceling that
-    detection. With no detections target 1 takes the plain grid maximum and
-    target 2 proceeds as in the single-detection case.
+    target 2 then takes the strongest coarse-grid sample outside that
+    detection's main lobe. With no detections target 1 takes the plain grid
+    maximum and target 2 the strongest sample outside its main lobe.
 
     Angle errors are NaN when ``score_angle`` is false (range-only plans).
     """

@@ -199,8 +199,8 @@ class SpectrumEvaluator:
     log10(M / den) digits near a peak. The refiner only compares
     denominators, which tolerates that; the grid that seeds and gates
     detections and every reported value keep full precision. The refiner
-    only runs on incomplete bases, while the scoring fallback also grids
-    complete ones, whose signal side is empty. The steering
+    only runs on incomplete bases; the scoring fallback grids a complete
+    one, whose signal side is empty, only for order-0 estimates. The steering
     phase is linear in (r, sin theta), which gives the denominator a
     closed-form gradient and Hessian in those coordinates.
     """

@@ -152,31 +152,6 @@ def _plan(name: str, radio: om.RadioConfig) -> om.SubarrayPlan:
             "range_only": range_only_plan}[name](radio)
 
 
-def _flat_fallbacks(radio, plan, scene, noise_seed, result) -> list[bool]:
-    """Which targets a fallback scored on a complete noise basis.
-
-    Such a target takes the argmax of an exactly flat grid, which rounding
-    picks; its assigned error is left out at the outcome tier.
-    """
-    dets = result.report.detections
-    if len(dets) >= 2:
-        return [False, False]
-    csi = om.synthesize_csi(radio, scene, noise_seed)
-    subs = om.decompose(om.covariance(om.smooth(csi, plan)))
-    m = subs.noise_basis.shape[0]
-    flat_first = not dets and subs.noise_basis.shape[1] >= m
-    if dets:
-        first = (dets[0].range_m, dets[0].azimuth_rad)
-    else:
-        first = om.ScoringContext(subs, om.GridConfig(radio, plan)).grid_argmax()
-    try:
-        subs = om.cancel_target(subs, om.steering_params(radio, plan),
-                                om.Detection(*first, 0.0, 0))
-    except om.AlreadyCanceledError:
-        pass
-    return [flat_first, subs.noise_basis.shape[1] >= m]
-
-
 def trial_records() -> list[dict]:
     """Seeded ``run_trial`` results over three plans, routines and differences."""
     radio = baseline_radio()
@@ -205,8 +180,6 @@ def trial_records() -> list[dict]:
                         "saturated": report.saturated,
                         "errors": [list(e) for e in result.assigned_errors],
                         "missed": list(result.missed),
-                        "flat_fallback": _flat_fallbacks(radio, plan, scene,
-                                                         noise_seed, result),
                         "repr": repr(result)})
     return records
 
@@ -271,11 +244,8 @@ def _csv_rows(text: str) -> list[list]:
 def outcome_differences(name: str, golden: str, current: str) -> list[Difference]:
     """Differences of one golden file at the outcome tier.
 
-    Detection counts, iterations, miss and flat-fallback flags, saturation
-    and ``p_missed`` must be exact, floats must agree to 1e-9 relative. Left out:
-    the assigned errors of targets a fallback scored on a complete noise
-    basis (rounding picks those), and so the RMSE columns of sweep points
-    with a missed target.
+    Detection counts, iterations, miss flags, saturation and ``p_missed``
+    must be exact, floats must agree to 1e-9 relative.
     """
     diffs: list[Difference] = []
     if name == "sweep.csv":
@@ -288,8 +258,7 @@ def outcome_differences(name: str, golden: str, current: str) -> list[Difference
                 if not (g[col] == c[col] or math.isnan(g[col]) and math.isnan(c[col])):
                     diffs.append(Difference(f"{name} row {i} {g_rows[0][col]}",
                                             g[col], c[col]))
-            if g[1] == 0.0:   # no target missed: no fallback in the RMSEs
-                _match(f"{name} row {i} rmse", g[2:4], c[2:4], diffs)
+            _match(f"{name} row {i} rmse", g[2:4], c[2:4], diffs)
         return diffs
     g_doc, c_doc = json.loads(golden), json.loads(current)
     if name == "estimate.json":
@@ -298,9 +267,6 @@ def outcome_differences(name: str, golden: str, current: str) -> list[Difference
     if name == "trials.json":
         for g, c in zip(g_doc, c_doc):
             g.pop("repr"), c.pop("repr")
-            for q, flat in enumerate(g["flat_fallback"]):
-                if flat:
-                    g["errors"][q] = c["errors"][q] = None
     _match(name, g_doc, c_doc, diffs)
     return diffs
 

@@ -64,19 +64,6 @@ class TestOutcomeTier:
         doc[1]["detections"].pop()
         assert len(self.problems(doc)) == 2
 
-    def test_flat_fallback_error_left_out(self):
-        doc = self.trials()
-        flat = [(i, q) for i, rec in enumerate(doc)
-                for q, f in enumerate(rec["flat_fallback"]) if f]
-        assert flat, "the golden trials include a fallback on a flat grid"
-        for i, q in flat:
-            doc[i]["errors"][q][0] += 5.0
-        assert self.problems(doc) == []
-        i, q = flat[0]
-        assert not doc[i]["flat_fallback"][1 - q]
-        doc[i]["errors"][1 - q][0] += 5.0
-        assert len(self.problems(doc)) == 1
-
     def test_compare_groups_moved_floats_and_lists_the_rest(self):
         doc = self.trials()
         for rec in doc[:3]:

@@ -11,11 +11,12 @@ from ofdm_music import (ConfigError, Detection, DetectionReport, DetectorConfig,
                         DomainError, GridConfig, Routine, ScenarioSpec,
                         ScoringContext,
                         Target, TargetScene, assign_and_score, calibrate_kappa,
-                        covariance, decompose, generate_trial, make_plan,
+                        covariance, decompose, detect, generate_trial, make_plan,
                         noise_variance_for_snr, run_sweep, run_trial, smooth,
                         synthesize_csi, trimmed_rmse, write_sweep_outputs)
 from ofdm_music import harness
-from ofdm_music.presets import baseline_plan, baseline_radio
+from ofdm_music.music import SpectrumGrid, coarse_grid, grid_geometry
+from ofdm_music.presets import baseline_plan, baseline_radio, range_only_plan
 
 from test_signal_model import small_radio
 
@@ -236,7 +237,8 @@ class TestAssignAndScore:
         assert res.missed == (False, True)
         assert res.assigned_errors[0][0] == pytest.approx(4.0)
 
-    def context(self):
+    @staticmethod
+    def context():
         radio = baseline_radio()
         plan = baseline_plan(radio)
         targets = (Target(5.0, 0.1, 0.04 + 0j), Target(9.0, -0.2, 0.0123 + 0j))
@@ -248,7 +250,8 @@ class TestAssignAndScore:
 
     def test_fallback_grid_estimates(self):
         # zero detections: target 1 takes the plain grid maximum (wherever it
-        # is), target 2 the residual maximum after canceling that point
+        # is), target 2 the strongest grid sample outside that point's main
+        # lobe
         ctx = self.context()
         res = assign_and_score(self.truth, make_report([]), ctx)
         assert res.missed == (True, True)
@@ -281,6 +284,95 @@ class TestAssignAndScore:
         assert math.isnan(res.assigned_errors[0][1])
         assert math.isnan(res.assigned_errors[1][1])
         assert res.assigned_errors[0][0] == 0.0
+
+
+class TestStandIns:
+    """``ScoringContext`` reads both stand-ins off one coarse grid."""
+
+    # The golden range-only scenes at a 0 m difference: MDL finds order 1,
+    # detect finds one target, and canceling it would complete the basis.
+    SPEC = ScenarioSpec(n_trials=3, snr_db=15.0, range_diffs_m=(0.0, 1.0),
+                        base_range_max_m=22.5, rng_seed=20_221_011)
+
+    @staticmethod
+    def rotated(subs, seed):
+        """``subs`` with its noise basis times a seeded random unitary: the
+        same span with other rounding."""
+        rng = np.random.default_rng(seed)
+        k = subs.noise_basis.shape[1]
+        u, _ = np.linalg.qr(rng.normal(size=(k, k))
+                            + 1j * rng.normal(size=(k, k)))
+        return dataclasses.replace(subs, noise_basis=subs.noise_basis @ u)
+
+    @staticmethod
+    def brute_force(ctx, points):
+        """(range, angle) of the strongest grid sample outside a box of 2.5
+        cells on both axes around every point, ranges compared modulo r_max,
+        found one sample at a time."""
+        grid = ctx.grid
+        geometry = grid_geometry(ctx.grid_config)
+        r_max = geometry.params.r_max_m
+        half_r, half_th = 2.5 * geometry.cell
+        best = None
+        for i, r in enumerate(grid.ranges_m):
+            for j, th in enumerate(grid.angles_rad):
+                if any(min(abs(r - pr + k * r_max) for k in (-1, 0, 1)) < half_r
+                       and abs(th - pth) < half_th for pr, pth in points):
+                    continue
+                if best is None or grid.values[i, j] > best[0]:
+                    best = (grid.values[i, j], float(r), float(th))
+        return best[1:]
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_stand_in_survives_noise_basis_rotation(self, trial):
+        radio = baseline_radio()
+        plan = range_only_plan(radio)
+        grid_config = GridConfig(radio, plan)
+        scene = generate_trial(self.SPEC, radio, trial, 0.0)
+        csi = synthesize_csi(radio, scene, 1_000 * trial)
+        subs = decompose(covariance(smooth(csi, plan)))
+        report = detect(subs, grid_geometry(grid_config).params, grid_config,
+                        DetectorConfig())
+        assert len(report.detections) == 1
+        det = report.detections[0]
+        point = [(det.range_m, det.azimuth_rad)]
+        rotated = ScoringContext(self.rotated(subs, trial), grid_config)
+        assert rotated.residual_argmax(point) \
+            == ScoringContext(subs, grid_config).residual_argmax(point)
+
+    @pytest.mark.parametrize("points", [
+        [(5.0, 0.1)], [(9.0, -0.2)], [(5.0, 0.1), (9.0, -0.2)],
+        [(0.3, 0.1)], [(24.9, -0.9)]])
+    def test_residual_argmax_matches_brute_force(self, points):
+        ctx = TestAssignAndScore.context()
+        assert ctx.residual_argmax(points) == self.brute_force(ctx, points)
+
+    def test_mask_wraps_at_unambiguous_range(self):
+        # a point 0.3 m from r = 0 masks the samples just below r_max; the
+        # strongest sample is planted there, so only the wrap masks it
+        ctx = TestAssignAndScore.context()
+        grid = ctx.grid
+        values = np.random.default_rng(0).random(grid.values.shape)
+        values[-1, 2] = 2.0
+        ctx.grid = SpectrumGrid(grid.ranges_m, grid.angles_rad, values)
+        points = [(0.3, float(grid.angles_rad[2]))]
+        stand_in = ctx.residual_argmax(points)
+        assert stand_in[0] < grid.ranges_m[-2]
+        assert stand_in == self.brute_force(ctx, points)
+
+    @pytest.mark.parametrize("n_detections, grids", [(0, 1), (1, 1), (2, 0)])
+    def test_grids_built(self, monkeypatch, n_detections, grids):
+        calls = []
+
+        def counting_grid(*args):
+            calls.append(args)
+            return coarse_grid(*args)
+
+        monkeypatch.setattr(harness, "coarse_grid", counting_grid)
+        dets = [Detection(5.0, 0.1, 3.0, 0), Detection(9.0, -0.2, 2.0, 0)]
+        assign_and_score(TestAssignAndScore.truth,
+                         make_report(dets[:n_detections]), TestAssignAndScore.context())
+        assert len(calls) == grids
 
 
 class TestTrimmedRmse:
