@@ -3,8 +3,8 @@
 Peaks are seeded from the strongest coarse-grid samples, refined together by
 a safeguarded Newton ascent, deduplicated, and gated against an
 empirical-quantile CFAR threshold. Detected targets can be canceled by
-augmenting the noise basis with their orthogonalized steering vectors, so
-the spectrum can be re-estimated without a new eigendecomposition.
+moving the signal-span component of their steering vectors to the noise
+basis, so the spectrum can be re-estimated without a new eigendecomposition.
 """
 
 from __future__ import annotations
@@ -156,34 +156,34 @@ def cancel_target(subspaces: Subspaces, params: SteeringParams,
                   det: Detection) -> Subspaces:
     """Move the detected target's steering direction to the noise side.
 
-    The steering vector is orthogonalized against the current noise basis,
-    normalized and appended, nulling the target in the re-estimated spectrum
-    without recomputing the eigendecomposition. That direction lies in the
-    signal span, whose basis keeps the q - 1 directions orthogonal to it, so
-    the two bases still partition C^M. Raises
-    :class:`AlreadyCanceledError` when the vector already lies in the noise
-    span, which signals a duplicate detection.
+    The steering vector c is projected on the signal basis U_S, and
+    u = U_S w / ||w|| with w = U_S^H c, its normalized component in the
+    signal span, is appended to the noise basis. That nulls the target in
+    the re-estimated spectrum without recomputing the eigendecomposition.
+    The signal basis keeps the q - 1 directions orthogonal to u, so the two
+    bases still partition C^M. Working on the q signal columns takes the
+    norm with no subtraction and reads the M - q noise columns only to
+    append to them. Raises :class:`AlreadyCanceledError` when the vector
+    already lies in the noise span (||w|| <= 1e-8 sqrt(M), which includes
+    an empty signal basis), which signals a duplicate detection.
     """
     c = decimated_steering(params, det.range_m, det.azimuth_rad)
-    un = subspaces.noise_basis
-    residual = c - un @ (un.conj().T @ c)
-    # Second projection pass keeps the basis orthonormal after many cancels.
-    residual = residual - un @ (un.conj().T @ residual)
-    norm = float(np.linalg.norm(residual))
+    us = subspaces.signal_basis
+    w = us.conj().T @ c
+    norm = float(np.linalg.norm(w))
     if norm <= 1e-8 * math.sqrt(c.size):
         raise AlreadyCanceledError(
             f"steering at (r={det.range_m:.3f} m, theta={det.azimuth_rad:.4f} rad) "
             "already lies in the noise span")
-    u = residual / norm
-    us = subspaces.signal_basis
+    w /= norm
+    u = us @ w
     # The Householder reflector that maps w, the coordinates of u in the
     # signal basis, onto the first axis is unitary and Hermitian, so its
     # other q - 1 columns are orthonormal and orthogonal to w.
-    w = us.conj().T @ u
     y = w.copy()
     y[0] += np.exp(1j * np.angle(w[0])) * np.linalg.norm(w)
     signal = us[:, 1:] - np.outer(us @ y, y[1:].conj() * (2.0 / np.vdot(y, y).real))
-    return Subspaces(noise_basis=np.hstack([un, u[:, np.newaxis]]),
+    return Subspaces(noise_basis=np.hstack([subspaces.noise_basis, u[:, np.newaxis]]),
                      signal_basis=signal, eigenvalues=subspaces.eigenvalues,
                      order_estimate=subspaces.order_estimate)
 
@@ -360,9 +360,10 @@ def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
             for r, th, _ in _merge_peaks(peaks, radius_r, radius_theta)]
 
 
-def _noise_spans_space(subspaces: Subspaces) -> bool:
-    """True once the noise basis spans C^M: the spectrum is then exactly flat."""
-    return subspaces.noise_basis.shape[1] >= subspaces.noise_basis.shape[0]
+def _no_signal_left(subspaces: Subspaces) -> bool:
+    """True once no signal columns are left: the noise basis then spans C^M
+    and the spectrum is exactly flat."""
+    return subspaces.signal_basis.shape[1] == 0
 
 
 def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig,
@@ -395,7 +396,7 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
     detections: list[Detection] = []
     saturated = False
     for iteration in range(det_config.max_iterations):
-        if _noise_spans_space(current):
+        if _no_signal_left(current):
             break
         if iteration > 0:
             grid = coarse_grid(current, grid_config)
@@ -411,7 +412,7 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
             break
         appended = 0
         for r, th, val in sorted(survivors, key=lambda p: -p[2]):
-            if _noise_spans_space(current):
+            if _no_signal_left(current):
                 saturated = True
                 break
             det = Detection(r, th, val, iteration)

@@ -30,8 +30,8 @@ from .detection import (DetectionReport, DetectorConfig, cfar_threshold,
 from .errors import ConfigError, DomainError
 from .music import (DEFAULT_THETA_LIM_RAD, GridConfig, SpectrumGrid, Subspaces,
                     coarse_grid, decompose, grid_geometry)
-from .signal_model import (RadioConfig, Target, TargetScene, scene_coefficient,
-                           synthesize_csi)
+from .signal_model import (RadioConfig, Target, TargetScene, noiseless_power,
+                           scene_coefficient, synthesize_csi)
 from .smoothing import SubarrayPlan, covariance, smooth
 
 logger = logging.getLogger(__name__)
@@ -158,21 +158,25 @@ def generate_trial(spec: ScenarioSpec, radio: RadioConfig, trial_index: int,
 
 def noise_variance_for_snr(scene: TargetScene, config: RadioConfig,
                            snr_db: float) -> float:
-    """Noise variance realizing ``snr_db`` against the mean noiseless CSI power."""
+    """Noise variance realizing ``snr_db`` against the mean noiseless CSI power.
+
+    That power is the closed form of :func:`noiseless_power`, O(Q^2) in the
+    number of targets; no CSI is synthesized and no random number drawn.
+    """
     if not scene.targets:
         raise DomainError("cannot set an SNR for a scene without targets")
-    noiseless = TargetScene(targets=scene.targets, noise_variance=0.0)
-    csi = synthesize_csi(config, noiseless, rng_seed=0)
-    power = float(np.mean(np.abs(csi.data) ** 2))
-    if power == 0.0:
-        raise DomainError("scene has zero signal power")
+    power = noiseless_power(config, scene.targets)
+    if not power > 0.0:
+        raise DomainError(f"scene signal power {power!r} is not positive")
     return power / (10.0 ** (snr_db / 10.0))
 
 
 class ScoringContext:
     """Stand-ins for missed targets, read off the trial's first coarse grid,
-    built on first use. An order-0 estimate leaves that grid flat, and only
-    then does rounding pick the stand-ins."""
+    built on first use. The grid projects on the signal basis, so an order-0
+    estimate's grid is exactly 1 / M everywhere, and its stand-ins are the
+    first unmasked samples in grid order (``argmax`` takes the first of equal
+    maxima): fixed by the geometry, not picked by rounding."""
 
     def __init__(self, subspaces: Subspaces, grid_config: GridConfig):
         self.subspaces = subspaces

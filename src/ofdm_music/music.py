@@ -184,33 +184,42 @@ def grid_steering(moments: np.ndarray, ranges_m: np.ndarray,
 class SpectrumEvaluator:
     """Fast repeated pseudospectrum evaluation for one subspace partition.
 
-    Keeps the conjugated noise basis and reads the phase ramps and their
-    products, the six moment rows, from the grid geometry, so a point
-    evaluation costs one complex exponential and one matvec. The moment rows
-    are folded into the conjugated signal basis once, as the (M, 6q) matrix
-    whose column k*q + j is column j scaled by row k: one projection of a
-    steering vector then gives every product the denominator's gradient and
-    Hessian need. ``value`` and ``values`` project
-    on the noise side and give values identical to ``music_value`` on
-    ``decimated_steering`` vectors. ``denominator``, the refiner's objective,
-    projects on the q signal columns instead of the M - q noise columns. The
-    two agree by the projector identity ||U_N^H v||^2 = M - ||U_S^H v||^2
-    for the unit-modulus steering vectors, but the signal form loses about
-    log10(M / den) digits near a peak. The refiner only compares
-    denominators, which tolerates that; the grid that seeds and gates
-    detections and every reported value keep full precision. The refiner
-    only runs on incomplete bases; the scoring fallback grids a complete
-    one, whose signal side is empty, only for order-0 estimates. The steering
-    phase is linear in (r, sin theta), which gives the denominator a
-    closed-form gradient and Hessian in those coordinates.
+    Reads the phase ramps and their products, the six moment rows, from the
+    grid geometry, so a point evaluation costs one complex exponential and
+    one matvec. ``values``, the coarse grid, and ``denominator``, the
+    refiner's objective, project on the q signal columns instead of the
+    M - q noise columns, by the projector identity
+    ||U_N^H v||^2 = M - ||U_S^H v||^2 for the unit-modulus steering vectors
+    (Schmidt, IEEE TAP 1986). That form loses about log10(M / den) digits
+    near a peak, which neither needs: the grid only seeds the refiner and
+    sets the CFAR quantile, whose samples lie far below the peaks, and the
+    refiner only compares denominators. ``value``, every reported peak
+    value, projects on the noise side at full precision, identical to
+    ``music_value`` on ``decimated_steering`` vectors. On a complete noise
+    basis (q = 0) every grid value is exactly 1 / M.
+
+    The conjugated noise basis and the (M, 6q) matrix whose column
+    k*q + j is signal column j scaled by moment row k are built on first
+    use, so a grid-only evaluator builds neither; one projection of a
+    steering vector on the latter gives every product the denominator's
+    gradient and Hessian need. The steering phase is linear in
+    (r, sin theta), which gives the denominator a closed-form gradient and
+    Hessian in those coordinates.
     """
 
     def __init__(self, subspaces: Subspaces, geometry: GridGeometry):
-        self._noise_h = np.ascontiguousarray(subspaces.noise_basis.conj().T)
+        self._subspaces = subspaces
         self._moments = geometry.moments
-        signal = subspaces.signal_basis.conj()
-        self._weighted = (self._moments.T[:, :, np.newaxis]
-                          * signal[:, np.newaxis, :]).reshape(len(signal), -1)
+
+    @functools.cached_property
+    def _noise_h(self) -> np.ndarray:
+        return np.ascontiguousarray(self._subspaces.noise_basis.conj().T)
+
+    @functools.cached_property
+    def _weighted(self) -> np.ndarray:
+        signal = self._subspaces.signal_basis.conj()
+        return (self._moments.T[:, :, np.newaxis]
+                * signal[:, np.newaxis, :]).reshape(len(signal), -1)
 
     def value(self, r: float, theta: float) -> float:
         v = _steering(self._moments, r, math.sin(theta))
@@ -218,8 +227,8 @@ class SpectrumEvaluator:
 
     def values(self, steering: np.ndarray) -> np.ndarray:
         """Values at the steering vectors that are the columns of ``steering``."""
-        proj = self._noise_h @ steering
-        den = np.sum(np.abs(proj) ** 2, axis=0)
+        proj = self._subspaces.signal_basis.conj().T @ steering
+        den = steering.shape[0] - np.sum(proj.real ** 2 + proj.imag ** 2, axis=0)
         return np.where(den <= 1.0 / MUSIC_VALUE_CLAMP, MUSIC_VALUE_CLAMP,
                         np.minimum(1.0 / np.maximum(den, 1e-300), MUSIC_VALUE_CLAMP))
 

@@ -134,20 +134,55 @@ def steering_angle(config: RadioConfig, theta: float) -> np.ndarray:
     """Antenna steering vector: element k is exp(j*2*pi*k*(d/lambda)*sin(theta))."""
     if abs(theta) >= math.pi / 2:
         raise DomainError(f"azimuth must lie in (-pi/2, pi/2), got {theta}")
-    k = np.arange(config.n_antennas)
-    phase = 2.0 * math.pi * (config.antenna_spacing_m / config.wavelength_m) \
-        * math.sin(theta)
-    return np.exp(1j * phase * k)
+    return np.exp(1j * _angle_phase(config, theta) * np.arange(config.n_antennas))
 
 
 def steering_range(config: RadioConfig, r: float) -> np.ndarray:
     """Subcarrier steering vector: element n is exp(-j*2*pi*n*df*2r/c)."""
     if r < 0:
         raise DomainError(f"range must be nonnegative, got {r}")
-    n = np.arange(config.n_subcarriers)
-    phase = -2.0 * math.pi * config.subcarrier_spacing_hz \
+    return np.exp(1j * _range_phase(config, r) * np.arange(config.n_subcarriers))
+
+
+def _angle_phase(config: RadioConfig, theta: float) -> float:
+    """Phase step between neighboring antennas, 2*pi*(d/lambda)*sin(theta)."""
+    return 2.0 * math.pi * (config.antenna_spacing_m / config.wavelength_m) \
+        * math.sin(theta)
+
+
+def _range_phase(config: RadioConfig, r: float) -> float:
+    """Phase step between neighboring subcarriers, -2*pi*df*2r/c."""
+    return -2.0 * math.pi * config.subcarrier_spacing_hz \
         * (2.0 * r / config.speed_of_light_m_s)
-    return np.exp(1j * phase * n)
+
+
+def _dirichlet(n: int, x: float) -> complex:
+    """The geometric sum sum_{k<n} exp(jkx), as
+    exp(j(n-1)x/2) sin(nx/2) / sin(x/2) on x reduced to [-pi, pi], and n
+    where that sine is 0. Unlike (1 - exp(jnx)) / (1 - exp(jx)), it keeps
+    its digits as x approaches 0."""
+    x -= 2.0 * math.pi * round(x / (2.0 * math.pi))
+    s = math.sin(x / 2.0)
+    if s == 0.0:
+        return complex(n)
+    half = 0.5 * (n - 1) * x
+    return complex(math.cos(half), math.sin(half)) * (math.sin(n * x / 2.0) / s)
+
+
+def noiseless_power(config: RadioConfig, targets) -> float:
+    """Mean |C|^2 over the K x N noiseless CSI of ``targets``, in closed form.
+
+    The CSI is sum_q c_q b(theta_q) a(r_q)^T, so its mean power is
+    sum_{p,q} c_p c_q^* D_K(alpha_p - alpha_q) D_N(beta_p - beta_q) / (K N),
+    where alpha and beta are the per-antenna and per-subcarrier phase steps
+    and D_n is their geometric sum: O(Q^2) work instead of O(KN).
+    """
+    k, n = config.n_antennas, config.n_subcarriers
+    steps = [(t.coeff, _angle_phase(config, t.azimuth_rad),
+              _range_phase(config, t.range_m)) for t in targets]
+    total = sum(cp * cq.conjugate() * _dirichlet(k, ap - aq) * _dirichlet(n, bp - bq)
+                for cp, ap, bp in steps for cq, aq, bq in steps)
+    return float(complex(total).real) / (k * n)
 
 
 def synthesize_csi(config: RadioConfig, scene: TargetScene, rng_seed: int) -> CsiMatrix:

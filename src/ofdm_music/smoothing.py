@@ -18,6 +18,7 @@ Index conventions (0-based):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,6 +141,13 @@ def sample_subarray(csi: CsiMatrix, plan: SubarrayPlan, ell: int) -> np.ndarray:
 def smooth(csi: CsiMatrix, plan: SubarrayPlan) -> np.ndarray:
     """Stack all L sampled sub-array vectors as columns of an M x L matrix."""
     _check_dims(csi, plan)
+    return np.take(csi.data, _gather_index(plan))
+
+
+@functools.lru_cache(maxsize=16)
+def _gather_index(plan: SubarrayPlan) -> np.ndarray:
+    """The read-only (M, L) flat indices into the K x N CSI that ``smooth``
+    gathers, built once per plan."""
     n = plan.n_subcarriers
     # Row-major flat index into the K x N CSI: (antenna, subcarrier) -> a*N + f.
     ells = np.arange(plan.n_subarrays)
@@ -149,7 +157,8 @@ def smooth(csi: CsiMatrix, plan: SubarrayPlan) -> np.ndarray:
     sub_run = np.arange(plan.n_sub_f) * plan.decim_f
     element = (sub_run[:, np.newaxis] + ant_run[np.newaxis, :]).ravel()
     flat = element[:, np.newaxis] + offsets[np.newaxis, :]   # (M, L)
-    return np.take(csi.data, flat)
+    flat.flags.writeable = False
+    return flat
 
 
 def covariance(smoothed: np.ndarray) -> SampleCovariance:

@@ -217,13 +217,17 @@ def _close(a, b) -> bool:
 
 
 def _match(where: str, golden, current, diffs: list[Difference]) -> None:
-    """Exact on counts, flags and text; floats to ``REL_TOL`` relative."""
+    """Exact on counts, flags and text; floats to ``REL_TOL`` relative.
+
+    Dicts whose key sets differ record that and are still compared on the
+    keys they share.
+    """
     if isinstance(golden, dict) and isinstance(current, dict):
         if golden.keys() != current.keys():
             diffs.append(Difference(f"{where} keys", sorted(golden), sorted(current)))
-            return
         for key in golden:
-            _match(f"{where}.{key}", golden[key], current[key], diffs)
+            if key in current:
+                _match(f"{where}.{key}", golden[key], current[key], diffs)
     elif isinstance(golden, list) and isinstance(current, list):
         if len(golden) != len(current):
             diffs.append(Difference(f"{where} entries", len(golden), len(current)))

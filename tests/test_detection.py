@@ -297,6 +297,29 @@ class TestCancelTarget:
             assert np.max(np.abs(signal.conj().T @ basis), initial=0) < 1e-9
         assert out.noise_basis.shape[1] > n0
 
+    @pytest.mark.parametrize("plan_name", ["baseline", "equal_m_1"])
+    def test_partition_holds_to_1e12(self, plan_name):
+        # Each cancel appends u = U_S w / ||w||: [U_N u] stays orthonormal and
+        # orthogonal to the new signal basis, and canceling again raises.
+        checked = 0
+        for subs, params, gc in two_target_scenes(plan_name, 10):
+            report = detect(subs, params, gc, DetectorConfig())
+            current = subs
+            for det in report.detections:
+                current = cancel_target(current, params, det)
+                noise, signal = current.noise_basis, current.signal_basis
+                assert noise.shape[1] + signal.shape[1] == noise.shape[0]
+                gram = noise.conj().T @ noise
+                assert np.max(np.abs(gram - np.eye(noise.shape[1]))) < 1e-12
+                gram = signal.conj().T @ signal
+                assert np.max(np.abs(gram - np.eye(signal.shape[1])),
+                              initial=0) < 1e-12
+                assert np.max(np.abs(signal.conj().T @ noise), initial=0) < 1e-12
+                with pytest.raises(AlreadyCanceledError):
+                    cancel_target(current, params, det)
+                checked += 1
+        assert checked >= 10
+
     def test_duplicate_cancel_raises(self):
         radio, plan, params, subs = pipeline(
             (Target(8.0, 0.2, 0.016 + 0j),), 120.0)
@@ -869,11 +892,13 @@ class TestAscend:
 
 
 def coarse_grid_reference(subspaces, params, config, plan,
-                          theta_lim_rad=DEFAULT_THETA_LIM_RAD):
+                          theta_lim_rad=DEFAULT_THETA_LIM_RAD, noise_side=False):
     """The coarse grid as built before its geometry was kept per grid config.
 
     Every call derives the axes, the phase ramps and the grid steering
-    vectors again before projecting them.
+    vectors again before projecting them: on the signal side,
+    M - ||U_S^H v||^2, or with ``noise_side`` as ||U_N^H v||^2, the form the
+    grid had before it moved to the signal side.
     """
     r_step = music.range_resolution(config, plan) / 2.0
     ranges = np.arange(0.0, music.unambiguous_range(config, plan), r_step)
@@ -884,7 +909,6 @@ def coarse_grid_reference(subspaces, params, config, plan,
         angles = angles[angles <= theta_lim_rad + 1e-12]
     else:
         angles = np.array([0.0])
-    noise_h = np.ascontiguousarray(subspaces.noise_basis.conj().T)
     i = np.repeat(np.arange(params.n_sub_f), params.n_sub_a)
     j = np.tile(np.arange(params.n_sub_a), params.n_sub_f)
     ramp_r = params.phi_f * (2.0 / params.speed_of_light_m_s) * i
@@ -893,8 +917,12 @@ def coarse_grid_reference(subspaces, params, config, plan,
     phases = ranges[:, np.newaxis, np.newaxis] * ramp_r \
         + sin_th[np.newaxis, :, np.newaxis] * ramp_theta
     v = np.exp(1j * phases.reshape(-1, ramp_r.size))
-    proj = noise_h @ v.T
-    den = np.sum(np.abs(proj) ** 2, axis=0)
+    if noise_side:
+        proj = np.ascontiguousarray(subspaces.noise_basis.conj().T) @ v.T
+        den = np.sum(np.abs(proj) ** 2, axis=0)
+    else:
+        proj = subspaces.signal_basis.conj().T @ v.T
+        den = ramp_r.size - np.sum(proj.real ** 2 + proj.imag ** 2, axis=0)
     clamp = music.MUSIC_VALUE_CLAMP
     with np.errstate(divide="ignore"):
         vals = np.where(den <= 1.0 / clamp, clamp,
@@ -939,6 +967,26 @@ class TestGridGeometry:
                     assert got.values.tobytes() == want.values.tobytes()
                     grids += 1
         assert grids >= 120
+
+    @pytest.mark.parametrize("plan_name", sorted(TestDetectLoop.PLANS))
+    def test_grids_match_the_noise_side_form(self, plan_name):
+        # The projector identity: away from exact nulls of the noise-side
+        # denominator, the signal-side grid agrees with it to 1e-10.
+        compared = total = 0
+        for subs, params, gc in two_target_scenes(plan_name, 10):
+            report = detect(subs, params, gc, DetectorConfig())
+            current = subs
+            for det in (None,) + report.detections:
+                if det is not None:
+                    current = cancel_target(current, params, det)
+                got = coarse_grid(current, gc).values
+                want = coarse_grid_reference(current, params, gc.radio, gc.plan,
+                                             noise_side=True).values
+                kept = 1.0 / want > 1e-6   # noise-side denominator
+                assert np.allclose(got[kept], want[kept], rtol=1e-10, atol=0)
+                compared += int(kept.sum())
+                total += kept.size
+        assert compared >= 0.9 * total
 
     @pytest.mark.parametrize("plan_name", sorted(TestDetectLoop.PLANS))
     def test_refine_box_matches_reference(self, plan_name):

@@ -64,6 +64,15 @@ class TestOutcomeTier:
         doc[1]["detections"].pop()
         assert len(self.problems(doc)) == 2
 
+    def test_dropped_key_and_moved_float_both_caught(self):
+        doc = self.trials()
+        doc[0].pop("saturated")
+        doc[0]["threshold"] *= 1 + 1e-6
+        problems = self.problems(doc)
+        assert len(problems) == 2
+        assert problems[0].startswith("trials.json[0] keys: ")
+        assert problems[1].startswith("trials.json[0].threshold: ")
+
     def test_compare_groups_moved_floats_and_lists_the_rest(self):
         doc = self.trials()
         for rec in doc[:3]:

@@ -187,6 +187,19 @@ class TestNoiseVarianceForSnr:
         with pytest.raises(DomainError):
             noise_variance_for_snr(TargetScene((), 0.0), baseline_radio(), 10.0)
 
+    @pytest.mark.parametrize("targets", [
+        (Target(10.0, 0.1, 0j),),
+        (Target(10.0, 0.1, 0.01 + 0.02j), Target(10.0, 0.1, -0.01 - 0.02j))],
+        ids=["zero-coefficient", "opposite-coefficients"])
+    def test_zero_power_rejected(self, targets):
+        with pytest.raises(DomainError):
+            noise_variance_for_snr(TargetScene(targets, 0.0), baseline_radio(), 10.0)
+
+    def test_no_csi_synthesized(self, monkeypatch):
+        monkeypatch.setattr(harness, "synthesize_csi", None)
+        scene = generate_trial(spec_with(snr_db=10.0), baseline_radio(), 2, 1.0)
+        assert scene.noise_variance > 0
+
     def test_empirical_snr_within_tenth_db(self):
         radio = baseline_radio()
         scene0 = TargetScene((Target(8.0, 0.3, 0.016 + 0j),
@@ -296,13 +309,18 @@ class TestStandIns:
 
     @staticmethod
     def rotated(subs, seed):
-        """``subs`` with its noise basis times a seeded random unitary: the
-        same span with other rounding."""
+        """``subs`` with its noise and signal bases each times a seeded random
+        unitary: the same spans with other rounding."""
         rng = np.random.default_rng(seed)
-        k = subs.noise_basis.shape[1]
-        u, _ = np.linalg.qr(rng.normal(size=(k, k))
-                            + 1j * rng.normal(size=(k, k)))
-        return dataclasses.replace(subs, noise_basis=subs.noise_basis @ u)
+
+        def unitary(k):
+            u, _ = np.linalg.qr(rng.normal(size=(k, k))
+                                + 1j * rng.normal(size=(k, k)))
+            return u
+
+        return dataclasses.replace(
+            subs, noise_basis=subs.noise_basis @ unitary(subs.noise_basis.shape[1]),
+            signal_basis=subs.signal_basis @ unitary(subs.signal_basis.shape[1]))
 
     @staticmethod
     def brute_force(ctx, points):
@@ -336,9 +354,26 @@ class TestStandIns:
         assert len(report.detections) == 1
         det = report.detections[0]
         point = [(det.range_m, det.azimuth_rad)]
+        # The grid reads the signal basis, so rotating it, not only the
+        # noise basis, is what can change the grid's rounding.
         rotated = ScoringContext(self.rotated(subs, trial), grid_config)
         assert rotated.residual_argmax(point) \
             == ScoringContext(subs, grid_config).residual_argmax(point)
+
+    def test_rotation_reaches_the_grid(self):
+        # Otherwise the rotation test above would pass trivially.
+        radio = baseline_radio()
+        plan = range_only_plan(radio)
+        grid_config = GridConfig(radio, plan)
+        moved = 0
+        for trial in range(3):
+            scene = generate_trial(self.SPEC, radio, trial, 0.0)
+            subs = decompose(covariance(smooth(
+                synthesize_csi(radio, scene, 1_000 * trial), plan)))
+            rotated = ScoringContext(self.rotated(subs, trial), grid_config)
+            moved += int(np.sum(rotated.grid.values
+                                != ScoringContext(subs, grid_config).grid.values))
+        assert moved > 0
 
     @pytest.mark.parametrize("points", [
         [(5.0, 0.1)], [(9.0, -0.2)], [(5.0, 0.1), (9.0, -0.2)],
@@ -346,6 +381,22 @@ class TestStandIns:
     def test_residual_argmax_matches_brute_force(self, points):
         ctx = TestAssignAndScore.context()
         assert ctx.residual_argmax(points) == self.brute_force(ctx, points)
+
+    def test_order_zero_stand_ins_are_the_first_samples(self):
+        # A complete noise basis grids to exactly 1/M, so argmax takes the
+        # first sample and the masked argmax the first one outside the mask.
+        ctx = TestAssignAndScore.context()
+        m = ctx.subspaces.noise_basis.shape[0]
+        ctx = ScoringContext(dataclasses.replace(
+            ctx.subspaces, noise_basis=np.eye(m, dtype=complex),
+            signal_basis=np.zeros((m, 0), dtype=complex), order_estimate=0),
+            ctx.grid_config)
+        grid = ctx.grid
+        assert np.all(grid.values == 1.0 / m)
+        first = ctx.grid_argmax()
+        assert first == (grid.ranges_m[0], grid.angles_rad[0])
+        assert ctx.residual_argmax([first]) == self.brute_force(ctx, [first]) \
+            == (grid.ranges_m[0], grid.angles_rad[3])
 
     def test_mask_wraps_at_unambiguous_range(self):
         # a point 0.3 m from r = 0 masks the samples just below r_max; the

@@ -9,6 +9,8 @@ from ofdm_music import (ConfigError, CsiFormatError, CsiMatrix, DomainError,
                         RadioConfig, Target, TargetScene, csi_from_symbols,
                         scene_coefficient, steering_angle, steering_range,
                         synthesize_csi)
+from ofdm_music.presets import baseline_radio
+from ofdm_music.signal_model import noiseless_power
 
 
 def small_radio(n=64, k=4, c=3e8):
@@ -228,6 +230,67 @@ class TestSceneCoefficient:
     def test_nonpositive_range_rejected(self):
         with pytest.raises(DomainError):
             scene_coefficient(0.0, 0)
+
+
+class TestNoiselessPower:
+    """The closed-form mean power against the mean of the synthesized CSI."""
+
+    @staticmethod
+    def synthesized(radio, targets):
+        csi = synthesize_csi(radio, TargetScene(targets, 0.0), 0)
+        return float(np.mean(np.abs(csi.data) ** 2))
+
+    @staticmethod
+    def targets(rng, n):
+        return tuple(Target(float(r), float(th), complex(c))
+                     for r, th, c in zip(rng.uniform(0.5, 24.0, n),
+                                         rng.uniform(-1.2, 1.2, n),
+                                         rng.normal(size=n) + 1j * rng.normal(size=n)))
+
+    @pytest.mark.parametrize("n_targets", [1, 2, 3, 4])
+    def test_random_scenes(self, n_targets):
+        radio = baseline_radio()
+        rng = np.random.default_rng(n_targets)
+        for _ in range(20):
+            targets = self.targets(rng, n_targets)
+            assert noiseless_power(radio, targets) == pytest.approx(
+                self.synthesized(radio, targets), rel=1e-12)
+
+    @pytest.mark.parametrize("targets", [
+        # equal ranges, equal azimuths, both equal (zero phase differences)
+        (Target(10.0, 0.3, 0.01 + 0j), Target(10.0, -0.4, 0.02j)),
+        (Target(8.0, 0.3, 0.01 + 0j), Target(14.0, 0.3, -0.005 + 0.01j)),
+        (Target(8.0, 0.3, 0.01 + 0j), Target(8.0, 0.3, 0.003 - 0.01j),
+         Target(20.0, -0.7, 0.004 + 0j)),
+        # phase differences of about 1e-9 rad on each axis
+        (Target(10.0, 0.3, 0.01 + 0j), Target(10.0 + 4e-7, 0.3, 0.01j)),
+        (Target(10.0, 0.3, 0.01 + 0j), Target(10.0, 0.3 + 3e-10, 0.01j)),
+        (Target(10.0, 0.3, 0.01 + 0j), Target(10.0 + 4e-7, 0.3 + 3e-10, -0.01j)),
+    ], ids=["equal-range", "equal-azimuth", "equal-both", "near-range",
+            "near-azimuth", "near-both"])
+    def test_equal_and_near_equal_phases(self, targets):
+        radio = baseline_radio()
+        assert noiseless_power(radio, targets) == pytest.approx(
+            self.synthesized(radio, targets), rel=1e-12)
+
+    def test_single_antenna_radio(self):
+        radio = dataclasses.replace(baseline_radio(), n_antennas=1)
+        rng = np.random.default_rng(11)
+        for n_targets in (1, 2, 3):
+            targets = self.targets(rng, n_targets)
+            assert noiseless_power(radio, targets) == pytest.approx(
+                self.synthesized(radio, targets), rel=1e-12)
+
+    def test_phase_differences_beyond_pi(self):
+        # one-wavelength spacing: azimuths of +-30 deg are 2 pi apart per
+        # antenna, and others wrap past pi
+        radio = dataclasses.replace(baseline_radio(),
+                                    antenna_spacing_m=baseline_radio().wavelength_m)
+        for targets in ((Target(9.0, math.pi / 6, 0.01 + 0j),
+                         Target(12.0, -math.pi / 6, 0.02j)),
+                        (Target(9.0, 1.1, 0.01 + 0j), Target(12.0, -0.9, 0.02j))):
+            assert noiseless_power(radio, targets) == pytest.approx(
+                self.synthesized(radio, targets), rel=1e-12)
 
 
 class TestCsiSerialization:

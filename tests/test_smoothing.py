@@ -7,6 +7,7 @@ from ofdm_music import (ConfigError, CsiMatrix, Target, TargetScene, covariance,
                         decimated_steering, make_plan, sample_subarray, smooth,
                         steering_params, subarray_indices, subarray_offsets,
                         synthesize_csi)
+from ofdm_music import smoothing
 from ofdm_music.presets import baseline_plan, baseline_radio
 
 from test_signal_model import small_radio
@@ -173,6 +174,14 @@ class TestSmooth:
                                       sample_subarray(csi, plan, ell))
             sm[...] = np.nan   # must not reach the CSI or a later result
         assert np.array_equal(csi.data, before)
+
+    def test_gather_index_built_once_per_plan_and_read_only(self):
+        cfg = small_radio(n=48, k=4)
+        plan = make_plan(cfg, 21, 3, 5, 1, 2, 1)
+        index = smoothing._gather_index(plan)
+        assert smoothing._gather_index(make_plan(cfg, 21, 3, 5, 1, 2, 1)) is index
+        assert index.shape == (plan.samples_per_subarray, plan.n_subarrays)
+        assert not index.flags.writeable
 
 
 class TestCovariance:
