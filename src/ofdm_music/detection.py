@@ -3,12 +3,14 @@
 Peaks are seeded from the strongest coarse-grid samples, refined together by
 a safeguarded Newton ascent, deduplicated, and gated against an
 empirical-quantile CFAR threshold. Detected targets can be canceled by
-moving the signal-span component of their steering vectors to the noise
-basis, so the spectrum can be re-estimated without a new eigendecomposition.
+moving the signal-span component of their steering vectors out of the
+signal basis, so the spectrum can be re-estimated without a new
+eigendecomposition.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
@@ -90,7 +92,7 @@ class DetectionReport:
     ``threshold_used`` is the CFAR threshold of the last spectrum searched,
     ``spectra_computed`` the number of spectra searched, and ``saturated``
     says that a survivor above that threshold could not be canceled because
-    earlier cancelations of the same iteration had completed the noise basis.
+    earlier cancelations of the same iteration had left no signal columns.
     """
 
     detections: tuple[Detection, ...]
@@ -154,18 +156,17 @@ def cfar_threshold(grid: SpectrumGrid, p_fa: float, kappa: float = 1.0) -> float
 
 def cancel_target(subspaces: Subspaces, params: SteeringParams,
                   det: Detection) -> Subspaces:
-    """Move the detected target's steering direction to the noise side.
+    """Move the detected target's steering direction out of the signal basis.
 
     The steering vector c is projected on the signal basis U_S, and
     u = U_S w / ||w|| with w = U_S^H c, its normalized component in the
-    signal span, is appended to the noise basis. That nulls the target in
-    the re-estimated spectrum without recomputing the eigendecomposition.
-    The signal basis keeps the q - 1 directions orthogonal to u, so the two
-    bases still partition C^M. Working on the q signal columns takes the
-    norm with no subtraction and reads the M - q noise columns only to
-    append to them. Raises :class:`AlreadyCanceledError` when the vector
-    already lies in the noise span (||w|| <= 1e-8 sqrt(M), which includes
-    an empty signal basis), which signals a duplicate detection.
+    signal span, is taken out of it: the signal basis keeps the q - 1
+    directions orthogonal to u, and u joins the noise subspace, their
+    orthogonal complement. That nulls the target in the re-estimated
+    spectrum without recomputing the eigendecomposition. Raises
+    :class:`AlreadyCanceledError` when the vector already lies in the noise
+    span (||w|| <= 1e-8 sqrt(M), which includes an empty signal basis),
+    which signals a duplicate detection.
     """
     c = decimated_steering(params, det.range_m, det.azimuth_rad)
     us = subspaces.signal_basis
@@ -176,16 +177,13 @@ def cancel_target(subspaces: Subspaces, params: SteeringParams,
             f"steering at (r={det.range_m:.3f} m, theta={det.azimuth_rad:.4f} rad) "
             "already lies in the noise span")
     w /= norm
-    u = us @ w
     # The Householder reflector that maps w, the coordinates of u in the
     # signal basis, onto the first axis is unitary and Hermitian, so its
     # other q - 1 columns are orthonormal and orthogonal to w.
     y = w.copy()
     y[0] += np.exp(1j * np.angle(w[0])) * np.linalg.norm(w)
     signal = us[:, 1:] - np.outer(us @ y, y[1:].conj() * (2.0 / np.vdot(y, y).real))
-    return Subspaces(noise_basis=np.hstack([subspaces.noise_basis, u[:, np.newaxis]]),
-                     signal_basis=signal, eigenvalues=subspaces.eigenvalues,
-                     order_estimate=subspaces.order_estimate)
+    return dataclasses.replace(subspaces, signal_basis=signal)
 
 
 def _merge_peaks(peaks: list[tuple[float, float, float]], radius_r: float,
@@ -338,8 +336,8 @@ def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
     a near-zero-range target wraps in just below the unambiguous range and
     would otherwise masquerade as a detection there. The rest are merged on
     the denominators the ascent ends with, and only the survivors are
-    valued, by :meth:`SpectrumEvaluator.value` on the noise side, at full
-    precision.
+    valued, by :meth:`SpectrumEvaluator.value`: the residual of the
+    signal-side projection, at full precision.
     """
     geometry = grid_geometry(grid_config)
     lo, hi, cell = geometry.lo, geometry.hi, geometry.cell
@@ -361,8 +359,8 @@ def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
 
 
 def _no_signal_left(subspaces: Subspaces) -> bool:
-    """True once no signal columns are left: the noise basis then spans C^M
-    and the spectrum is exactly flat."""
+    """True once no signal columns are left: the noise subspace is then all
+    of C^M and the spectrum is exactly flat."""
     return subspaces.signal_basis.shape[1] == 0
 
 
@@ -376,10 +374,10 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
     bounds every detection. Re-deriving it keeps the gate tied to the
     remaining spectrum floor instead of the already-canceled peaks.
 
-    A complete noise basis leaves no signal directions, so its spectrum is
-    exactly flat and admits no peaks. The iteration loop therefore ends,
-    without gridding or searching that spectrum, once the basis is complete:
-    at once on an order-zero estimate, else once cancelations complete it. A
+    A signal basis with no columns left gives an exactly flat spectrum,
+    which admits no peaks. The iteration loop therefore ends, without
+    gridding or searching that spectrum, once no signal columns are left:
+    at once on an order-zero estimate, else once cancelations empty it. A
     survivor met after that point in the same iteration cannot be canceled
     and marks the report ``saturated``. The ``off`` routine reports the
     survivors of iteration 0 in merge order and cancels none.

@@ -3,7 +3,8 @@
 The sample covariance is eigendecomposed, the model order is picked by the
 Wax-Kailath minimum-description-length rule, and the pseudospectrum
 1 / ||U_N^H v(r, theta)||^2 is evaluated with steering vectors matched to the
-decimated sub-array lattice.
+decimated sub-array lattice. Only the q signal eigenvectors U_S are kept;
+||U_N^H v||^2 is read off them by the projector U_N U_N^H = I - U_S U_S^H.
 """
 
 from __future__ import annotations
@@ -26,15 +27,14 @@ DEFAULT_THETA_LIM_RAD = math.radians(60.0)
 
 @dataclass(frozen=True)
 class Subspaces:
-    """Partitioned eigenvectors of a sample covariance.
+    """The signal subspace of a sample covariance.
 
-    The columns of ``noise_basis`` and ``signal_basis`` together form an
-    orthonormal basis of C^M. Target cancelation moves one direction from
-    the signal side to the noise side, so the partition holds after every
-    cancelation too.
+    ``signal_basis`` holds q orthonormal columns, first the eigenvectors of
+    the q largest eigenvalues; the noise subspace is their orthogonal
+    complement in C^M and is not stored. A target cancelation moves one
+    direction out of the signal basis, which leaves one column fewer.
     """
 
-    noise_basis: np.ndarray
     signal_basis: np.ndarray
     eigenvalues: np.ndarray
     order_estimate: int
@@ -105,7 +105,7 @@ def mdl_order(eigenvalues: np.ndarray, n_snapshots: int) -> int:
 
 
 def decompose(cov: SampleCovariance) -> Subspaces:
-    """Eigendecompose and split into signal/noise subspaces at the MDL order.
+    """Eigendecompose and keep the signal eigenvectors up to the MDL order.
 
     A non-finite covariance (NaN input, or finite CSI large enough to
     overflow) is rejected up front: ``eigh`` would not flag it.
@@ -119,8 +119,7 @@ def decompose(cov: SampleCovariance) -> Subspaces:
     w = w[::-1].copy()
     u = u[:, ::-1].copy()
     q = mdl_order(w, cov.n_snapshots)
-    return Subspaces(noise_basis=u[:, q:], signal_basis=u[:, :q],
-                     eigenvalues=w, order_estimate=q)
+    return Subspaces(signal_basis=u[:, :q], eigenvalues=w, order_estimate=q)
 
 
 def steering_params(config: RadioConfig, plan: SubarrayPlan) -> SteeringParams:
@@ -153,16 +152,19 @@ def decimated_steering(params: SteeringParams, r: float, theta: float) -> np.nda
 
 
 def music_value(subspaces: Subspaces, steering: np.ndarray) -> float:
-    """Pseudospectrum value 1 / ||U_N^H v||^2, clamped at 1e18."""
-    return _clamped_inverse(subspaces.noise_basis.conj().T @ steering)
+    """1 / ||U_N^H v||^2, clamped at ``MUSIC_VALUE_CLAMP``, from the residual
+    v - U_S U_S^H v of the signal-side projection: full precision at a
+    near-null, where M - ||U_S^H v||^2 cancels to a few digits."""
+    us = subspaces.signal_basis
+    residual = steering - us @ (us.conj().T @ steering)
+    return float(_clamped_inverse(np.vdot(residual, residual).real))
 
 
-def _clamped_inverse(proj: np.ndarray) -> float:
-    """1 / ||proj||^2, clamped at ``MUSIC_VALUE_CLAMP``."""
-    den = float(np.real(np.vdot(proj, proj)))
-    if den <= 1.0 / MUSIC_VALUE_CLAMP:
-        return MUSIC_VALUE_CLAMP
-    return min(1.0 / den, MUSIC_VALUE_CLAMP)
+def _clamped_inverse(den):
+    """1 / den, or the clamp C where den <= 1 / C: above that bound 1 / den
+    is already below C (1 / (1 / C) rounds to C - 128)."""
+    return np.where(den <= 1.0 / MUSIC_VALUE_CLAMP, MUSIC_VALUE_CLAMP,
+                    1.0 / np.maximum(den, 1e-300))
 
 
 def _steering(moments: np.ndarray, r, s) -> np.ndarray:
@@ -182,38 +184,32 @@ def grid_steering(moments: np.ndarray, ranges_m: np.ndarray,
 
 
 class SpectrumEvaluator:
-    """Fast repeated pseudospectrum evaluation for one subspace partition.
+    """Fast repeated pseudospectrum evaluation for one signal subspace.
 
     Reads the phase ramps and their products, the six moment rows, from the
     grid geometry, so a point evaluation costs one complex exponential and
-    one matvec. ``values``, the coarse grid, and ``denominator``, the
-    refiner's objective, project on the q signal columns instead of the
-    M - q noise columns, by the projector identity
-    ||U_N^H v||^2 = M - ||U_S^H v||^2 for the unit-modulus steering vectors
-    (Schmidt, IEEE TAP 1986). That form loses about log10(M / den) digits
-    near a peak, which neither needs: the grid only seeds the refiner and
-    sets the CFAR quantile, whose samples lie far below the peaks, and the
-    refiner only compares denominators. ``value``, every reported peak
-    value, projects on the noise side at full precision, identical to
-    ``music_value`` on ``decimated_steering`` vectors. On a complete noise
-    basis (q = 0) every grid value is exactly 1 / M.
+    one projection on the q signal columns. ``values``, the coarse grid, and
+    ``denominator``, the refiner's objective, take the noise-side norm as
+    M - ||U_S^H v||^2 for the unit-modulus steering vectors (Schmidt, IEEE
+    TAP 1986). That form loses about log10(M / den) digits near a peak,
+    which neither needs: the grid only seeds the refiner and sets the CFAR
+    quantile, whose samples lie far below the peaks, and the refiner only
+    compares denominators. ``value``, every reported peak value, is
+    ``music_value``: the residual of the signal-side projection, at full
+    precision. With no signal columns (q = 0) every grid value is exactly
+    1 / M.
 
-    The conjugated noise basis and the (M, 6q) matrix whose column
-    k*q + j is signal column j scaled by moment row k are built on first
-    use, so a grid-only evaluator builds neither; one projection of a
-    steering vector on the latter gives every product the denominator's
-    gradient and Hessian need. The steering phase is linear in
-    (r, sin theta), which gives the denominator a closed-form gradient and
-    Hessian in those coordinates.
+    The (M, 6q) matrix whose column k*q + j is signal column j scaled by
+    moment row k is built on first use, so a grid-only evaluator does not
+    build it; one projection of a steering vector on it gives every product
+    the denominator's gradient and Hessian need. The steering phase is
+    linear in (r, sin theta), which gives the denominator a closed-form
+    gradient and Hessian in those coordinates.
     """
 
     def __init__(self, subspaces: Subspaces, geometry: GridGeometry):
         self._subspaces = subspaces
         self._moments = geometry.moments
-
-    @functools.cached_property
-    def _noise_h(self) -> np.ndarray:
-        return np.ascontiguousarray(self._subspaces.noise_basis.conj().T)
 
     @functools.cached_property
     def _weighted(self) -> np.ndarray:
@@ -222,15 +218,14 @@ class SpectrumEvaluator:
                 * signal[:, np.newaxis, :]).reshape(len(signal), -1)
 
     def value(self, r: float, theta: float) -> float:
-        v = _steering(self._moments, r, math.sin(theta))
-        return _clamped_inverse(self._noise_h @ v)
+        return music_value(self._subspaces,
+                           _steering(self._moments, r, math.sin(theta)))
 
     def values(self, steering: np.ndarray) -> np.ndarray:
         """Values at the steering vectors that are the columns of ``steering``."""
         proj = self._subspaces.signal_basis.conj().T @ steering
-        den = steering.shape[0] - np.sum(proj.real ** 2 + proj.imag ** 2, axis=0)
-        return np.where(den <= 1.0 / MUSIC_VALUE_CLAMP, MUSIC_VALUE_CLAMP,
-                        np.minimum(1.0 / np.maximum(den, 1e-300), MUSIC_VALUE_CLAMP))
+        return _clamped_inverse(
+            steering.shape[0] - np.sum(proj.real ** 2 + proj.imag ** 2, axis=0))
 
     def denominator(self, ranges_m: np.ndarray, sines: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -263,19 +263,24 @@ def test_criterion_10_property_suite():
             assert mdl_order(subs.eigenvalues * 7.3e4, cov.n_snapshots) == q
             assert mdl_order(subs.eigenvalues * 1e-6, cov.n_snapshots) == q
 
-        # canceling keeps the noise basis orthonormal and adds one column
-        if subs.noise_basis.shape[1] < m:
+        # canceling leaves q - 1 orthonormal signal columns, orthogonal to
+        # the canceled steering vector c: c joins the noise subspace
+        q = subs.signal_basis.shape[1]
+        if q > 0:
             params = steering_params(radio, plan)
             r_try = float(rng.uniform(0.0, 0.99)) * params.r_max_m
+            det = Detection(r_try, theta, 1.0, 0)
             try:
-                canceled = cancel_target(subs, params,
-                                         Detection(r_try, theta, 1.0, 0))
+                canceled = cancel_target(subs, params, det)
             except AlreadyCanceledError:
                 canceled = None
             if canceled is not None:
-                basis = canceled.noise_basis
-                assert basis.shape[1] == subs.noise_basis.shape[1] + 1
+                basis = canceled.signal_basis
+                assert basis.shape == (m, q - 1)
                 gram = basis.conj().T @ basis
-                assert np.max(np.abs(gram - np.eye(basis.shape[1]))) < 1e-9
+                assert np.max(np.abs(gram - np.eye(q - 1)), initial=0) < 1e-9
+                c = decimated_steering(params, det.range_m, det.azimuth_rad)
+                assert np.linalg.norm(basis.conj().T @ c) \
+                    <= 1e-9 * np.linalg.norm(c)
         checked += 1
     report(10, checked == 1000, f"{checked} randomized property cases")

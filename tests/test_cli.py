@@ -226,8 +226,8 @@ class TestEstimateCommand:
         assert (out_dir / "report.json").read_text() == stdout
 
     def test_report_counts_searched_spectra(self, baseline_cfg, tmp_path, capsys):
-        # Both targets are canceled in the first iteration, which completes
-        # the noise basis of the order-2 estimate: no flat spectrum is
+        # Both targets are canceled in the first iteration, which leaves the
+        # order-2 estimate no signal columns: no flat spectrum is
         # searched after that, and nothing is left uncanceled.
         targets = (Target(7.0, math.radians(-25), 0.02 + 0j),
                    Target(14.0, math.radians(20), 0.005 + 0j))

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from ofdm_music import (DEFAULT_THETA_LIM_RAD, AlreadyCanceledError,
                         ConfigError, Detection, DetectionReport, DetectorConfig,
@@ -83,6 +84,20 @@ def random_scene(seed, plan=None):
                                          noise_seed=seed, plan=plan)
     gc = GridConfig(radio, plan)
     return params, subs, coarse_grid(subs, gc), gc
+
+
+def noise_complement(signal):
+    """An orthonormal basis of the orthogonal complement of the span of the
+    columns of ``signal``: the noise subspace, which the program keeps only
+    implicitly."""
+    return null_space(signal.conj().T)
+
+
+def canceled_direction(signal, c):
+    """P_S c / ||P_S c||, the direction that canceling steering vector ``c``
+    moves out of the span of the orthonormal columns of ``signal``."""
+    u = signal @ (signal.conj().T @ c)
+    return u / np.linalg.norm(u)
 
 
 def one_hot(grid, i, j):
@@ -252,18 +267,22 @@ class TestRefineCandidates:
 
 class TestCancelTarget:
     def test_empty_noise_basis_appends_normalized(self):
+        # A full signal basis leaves an empty noise subspace; one cancel
+        # makes it the line of the normalized steering vector.
         radio = baseline_radio()
         plan = baseline_plan(radio)
         params = steering_params(radio, plan)
         m = plan.samples_per_subarray
-        subs = Subspaces(noise_basis=np.zeros((m, 0), dtype=complex),
-                         signal_basis=np.eye(m, dtype=complex),
+        subs = Subspaces(signal_basis=np.eye(m, dtype=complex),
                          eigenvalues=np.ones(m), order_estimate=m)
         out = cancel_target(subs, params, Detection(5.0, 0.1, 1.0, 0))
         v = decimated_steering(params, 5.0, 0.1)
-        assert out.noise_basis.shape == (m, 1)
-        assert out.noise_basis[:, 0] == pytest.approx(v / np.linalg.norm(v),
-                                                      rel=1e-12)
+        assert out.signal_basis.shape == (m, m - 1)
+        noise = noise_complement(out.signal_basis)
+        assert noise.shape == (m, 1)
+        u = v / np.linalg.norm(v)
+        assert noise[:, 0] * np.vdot(noise[:, 0], u) == pytest.approx(u,
+                                                                       rel=1e-12)
 
     def test_nulls_detected_target(self):
         radio, plan, params, subs = pipeline(
@@ -280,14 +299,20 @@ class TestCancelTarget:
         radio, plan, params, subs = pipeline(
             (Target(6.0, -0.3, 0.03 + 0j), Target(14.0, 0.4, 0.005 + 0j),
              Target(20.0, 0.9, 0.002 + 0j)), 15.0)
-        n0 = subs.noise_basis.shape[1]
+        # The noise basis is followed here: its complement at the start, and
+        # the direction each cancel takes out of the signal span appended.
+        basis = noise_complement(subs.signal_basis)
+        n0 = basis.shape[1]
         m = plan.samples_per_subarray
         out = subs
         for i, (r, th) in enumerate([(6.0, -0.3), (14.0, 0.4), (20.0, 0.9)]):
-            if out.noise_basis.shape[1] >= m:
+            if out.signal_basis.shape[1] == 0:
                 break
+            c = decimated_steering(params, r, th)
+            basis = np.hstack([basis, canceled_direction(out.signal_basis, c)
+                               [:, np.newaxis]])
             out = cancel_target(out, params, Detection(r, th, 0.0, i))
-            basis, signal = out.noise_basis, out.signal_basis
+            signal = out.signal_basis
             assert basis.shape[1] == n0 + i + 1
             assert basis.shape[1] + signal.shape[1] == m
             gram = basis.conj().T @ basis
@@ -295,19 +320,24 @@ class TestCancelTarget:
             gram = signal.conj().T @ signal
             assert np.max(np.abs(gram - np.eye(signal.shape[1])), initial=0) < 1e-9
             assert np.max(np.abs(signal.conj().T @ basis), initial=0) < 1e-9
-        assert out.noise_basis.shape[1] > n0
+        assert out.signal_basis.shape[1] < subs.signal_basis.shape[1]
 
     @pytest.mark.parametrize("plan_name", ["baseline", "equal_m_1"])
     def test_partition_holds_to_1e12(self, plan_name):
-        # Each cancel appends u = U_S w / ||w||: [U_N u] stays orthonormal and
-        # orthogonal to the new signal basis, and canceling again raises.
+        # Each cancel takes u = U_S w / ||w|| out of the signal span: [U_N u]
+        # stays orthonormal and orthogonal to the new signal basis, and
+        # canceling again raises. U_N is followed here, as in the test above.
         checked = 0
         for subs, params, gc in two_target_scenes(plan_name, 10):
             report = detect(subs, params, gc, DetectorConfig())
             current = subs
+            noise = noise_complement(subs.signal_basis)
             for det in report.detections:
+                c = decimated_steering(params, det.range_m, det.azimuth_rad)
+                noise = np.hstack([noise, canceled_direction(
+                    current.signal_basis, c)[:, np.newaxis]])
                 current = cancel_target(current, params, det)
-                noise, signal = current.noise_basis, current.signal_basis
+                signal = current.signal_basis
                 assert noise.shape[1] + signal.shape[1] == noise.shape[0]
                 gram = noise.conj().T @ noise
                 assert np.max(np.abs(gram - np.eye(noise.shape[1]))) < 1e-12
@@ -319,6 +349,32 @@ class TestCancelTarget:
                     cancel_target(current, params, det)
                 checked += 1
         assert checked >= 10
+
+    def test_near_null_value_keeps_full_precision(self):
+        # Criterion 7's scene: the peak that is canceled first has a
+        # noise-side denominator near 2e-13. The reported value there
+        # matches a noise-side reference from the full eigendecomposition of
+        # the covariance; M - ||U_S^H v||^2, the grid's form, would not.
+        targets = (Target(8.0, math.radians(-20), 0.0156 + 0j),
+                   Target(16.0, math.radians(30), 0.0039 + 0j))
+        radio = baseline_radio()
+        plan = baseline_plan(radio)
+        params = steering_params(radio, plan)
+        sigma2 = noise_variance_for_snr(TargetScene(targets, 0.0), radio, 120.0)
+        cov = covariance(smooth(synthesize_csi(
+            radio, TargetScene(targets, sigma2), 70_007), plan))
+        subs = decompose(cov)
+        report = detect(subs, params, GridConfig(radio, plan), DetectorConfig())
+        first = max(report.detections, key=lambda d: d.spectrum_value)
+        c = decimated_steering(params, first.range_m, first.azimuth_rad)
+        m, q = c.size, subs.order_estimate
+        noise = np.linalg.eigh(cov.matrix)[1][:, :m - q]
+        proj = noise.conj().T @ c
+        want = 1.0 / np.vdot(proj, proj).real
+        assert want > 1e12
+        assert music_value(subs, c) == pytest.approx(want, rel=1e-8)
+        s = np.linalg.norm(subs.signal_basis.conj().T @ c) ** 2
+        assert abs(1.0 / (m - s) - want) > 1e-3 * want
 
     def test_duplicate_cancel_raises(self):
         radio, plan, params, subs = pipeline(
@@ -512,16 +568,16 @@ class TestDetect:
 
 
 def detect_loop_reference(subspaces, params, grid_config, det_config):
-    """The detection loop before it stopped at a complete noise basis.
+    """The detection loop before it stopped once no signal columns were left.
 
     It re-grids and refines the flat spectrum left once cancelations have
-    completed the basis, and marks the report saturated whenever rounding
-    noise on that spectrum beats the threshold.
+    emptied the signal basis, and marks the report saturated whenever
+    rounding noise on that spectrum beats the threshold.
     """
     grid = coarse_grid(subspaces, grid_config)
     gamma = cfar_threshold(grid, det_config.p_fa, det_config.kappa)
     spectra = 1
-    if subspaces.noise_basis.shape[1] >= subspaces.noise_basis.shape[0]:
+    if complete(subspaces):
         return DetectionReport(detections=(), threshold_used=gamma,
                                routine=det_config.routine, spectra_computed=spectra)
     if det_config.routine is Routine.OFF:
@@ -530,7 +586,6 @@ def detect_loop_reference(subspaces, params, grid_config, det_config):
         dets = [Detection(r, th, val, 0) for r, th, val in merged if val >= gamma]
         return DetectionReport(detections=tuple(dets), threshold_used=gamma,
                                routine=det_config.routine, spectra_computed=spectra)
-    m_total = subspaces.noise_basis.shape[0]
     current = subspaces
     detections = []
     saturated = False
@@ -546,7 +601,7 @@ def detect_loop_reference(subspaces, params, grid_config, det_config):
             break
         appended = 0
         for r, th, val in sorted(survivors, key=lambda p: -p[2]):
-            if current.noise_basis.shape[1] >= m_total:
+            if complete(current):
                 saturated = True
                 break
             det = Detection(r, th, val, iteration)
@@ -564,7 +619,8 @@ def detect_loop_reference(subspaces, params, grid_config, det_config):
 
 
 def complete(subspaces):
-    return subspaces.noise_basis.shape[1] >= subspaces.noise_basis.shape[0]
+    """True once no signal columns are left: the noise subspace is C^M."""
+    return subspaces.signal_basis.shape[1] == 0
 
 
 class TestDetectLoop:
@@ -575,7 +631,8 @@ class TestDetectLoop:
     def test_matches_loop_reference(self, plan_name, monkeypatch):
         # 100 seeded two-target scenes at 15 dB (range differences 0 and 1 m)
         # per plan, each under all three routines: the same detections, never
-        # more spectra, and no grid or refinement on a complete noise basis.
+        # more spectra, and no grid or refinement once no signal columns are
+        # left.
         radio = baseline_radio()
         plan = self.PLANS[plan_name](radio)
         params = steering_params(radio, plan)
@@ -631,14 +688,14 @@ class TestDetectLoop:
     def test_uncancelable_survivor_saturates(self):
         # One signal column, an equal mix of the two targets' steering
         # vectors: both peak above the threshold, but the first cancelation
-        # completes the noise basis, so the second cannot be canceled.
+        # leaves no signal columns, so the second cannot be canceled.
         radio, plan, params, _ = self.two_target_subspaces()
         u = sum(v / np.linalg.norm(v) for v in (
             decimated_steering(params, 7.0, math.radians(-25)),
             decimated_steering(params, 14.0, math.radians(20))))
         w, vecs = np.linalg.eigh(np.outer(u, u.conj()))
-        one = Subspaces(noise_basis=vecs[:, :-1], signal_basis=vecs[:, -1:],
-                        eigenvalues=w[::-1], order_estimate=1)
+        one = Subspaces(signal_basis=vecs[:, -1:], eigenvalues=w[::-1],
+                        order_estimate=1)
         report = detect(one, params, GridConfig(radio, plan), DetectorConfig())
         assert len(report.detections) == 1
         assert report.saturated is True
@@ -898,7 +955,8 @@ def coarse_grid_reference(subspaces, params, config, plan,
     Every call derives the axes, the phase ramps and the grid steering
     vectors again before projecting them: on the signal side,
     M - ||U_S^H v||^2, or with ``noise_side`` as ||U_N^H v||^2, the form the
-    grid had before it moved to the signal side.
+    grid had before it moved to the signal side, with U_N built here as the
+    orthogonal complement of the signal span.
     """
     r_step = music.range_resolution(config, plan) / 2.0
     ranges = np.arange(0.0, music.unambiguous_range(config, plan), r_step)
@@ -918,7 +976,8 @@ def coarse_grid_reference(subspaces, params, config, plan,
         + sin_th[np.newaxis, :, np.newaxis] * ramp_theta
     v = np.exp(1j * phases.reshape(-1, ramp_r.size))
     if noise_side:
-        proj = np.ascontiguousarray(subspaces.noise_basis.conj().T) @ v.T
+        noise = noise_complement(subspaces.signal_basis)
+        proj = np.ascontiguousarray(noise.conj().T) @ v.T
         den = np.sum(np.abs(proj) ** 2, axis=0)
     else:
         proj = subspaces.signal_basis.conj().T @ v.T

@@ -303,24 +303,19 @@ class TestStandIns:
     """``ScoringContext`` reads both stand-ins off one coarse grid."""
 
     # The golden range-only scenes at a 0 m difference: MDL finds order 1,
-    # detect finds one target, and canceling it would complete the basis.
+    # detect finds one target, and canceling it would leave no signal columns.
     SPEC = ScenarioSpec(n_trials=3, snr_db=15.0, range_diffs_m=(0.0, 1.0),
                         base_range_max_m=22.5, rng_seed=20_221_011)
 
     @staticmethod
     def rotated(subs, seed):
-        """``subs`` with its noise and signal bases each times a seeded random
-        unitary: the same spans with other rounding."""
+        """``subs`` with its signal basis times a seeded random q x q
+        unitary: the same span, so the same noise subspace, with other
+        rounding."""
         rng = np.random.default_rng(seed)
-
-        def unitary(k):
-            u, _ = np.linalg.qr(rng.normal(size=(k, k))
-                                + 1j * rng.normal(size=(k, k)))
-            return u
-
-        return dataclasses.replace(
-            subs, noise_basis=subs.noise_basis @ unitary(subs.noise_basis.shape[1]),
-            signal_basis=subs.signal_basis @ unitary(subs.signal_basis.shape[1]))
+        q = subs.signal_basis.shape[1]
+        u, _ = np.linalg.qr(rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q)))
+        return dataclasses.replace(subs, signal_basis=subs.signal_basis @ u)
 
     @staticmethod
     def brute_force(ctx, points):
@@ -354,8 +349,8 @@ class TestStandIns:
         assert len(report.detections) == 1
         det = report.detections[0]
         point = [(det.range_m, det.azimuth_rad)]
-        # The grid reads the signal basis, so rotating it, not only the
-        # noise basis, is what can change the grid's rounding.
+        # The grid reads only the signal basis, so rotating it is what can
+        # change the grid's rounding.
         rotated = ScoringContext(self.rotated(subs, trial), grid_config)
         assert rotated.residual_argmax(point) \
             == ScoringContext(subs, grid_config).residual_argmax(point)
@@ -383,13 +378,12 @@ class TestStandIns:
         assert ctx.residual_argmax(points) == self.brute_force(ctx, points)
 
     def test_order_zero_stand_ins_are_the_first_samples(self):
-        # A complete noise basis grids to exactly 1/M, so argmax takes the
-        # first sample and the masked argmax the first one outside the mask.
+        # No signal columns grid to exactly 1/M, so argmax takes the first
+        # sample and the masked argmax the first one outside the mask.
         ctx = TestAssignAndScore.context()
-        m = ctx.subspaces.noise_basis.shape[0]
+        m = ctx.subspaces.signal_basis.shape[0]
         ctx = ScoringContext(dataclasses.replace(
-            ctx.subspaces, noise_basis=np.eye(m, dtype=complex),
-            signal_basis=np.zeros((m, 0), dtype=complex), order_estimate=0),
+            ctx.subspaces, signal_basis=np.zeros((m, 0)), order_estimate=0),
             ctx.grid_config)
         grid = ctx.grid
         assert np.all(grid.values == 1.0 / m)

@@ -10,15 +10,20 @@ from ofdm_music import (ConfigError, DomainError, GridConfig, NumericalError, Sa
                         mdl_order, music_value, noise_variance_for_snr,
                         range_resolution, sample_subarray, smooth, steering_params,
                         synthesize_csi, unambiguous_range)
+from ofdm_music import music
 from ofdm_music.music import MUSIC_VALUE_CLAMP
 from ofdm_music.presets import baseline_plan, baseline_radio, equal_m_plan
 
 
-def decomposed_scene(cfg, plan, targets, snr_db, noise_seed=0):
+def scene_covariance(cfg, plan, targets, snr_db, noise_seed=0):
     scene0 = TargetScene(targets, 0.0)
     sigma2 = noise_variance_for_snr(scene0, cfg, snr_db)
     csi = synthesize_csi(cfg, TargetScene(targets, sigma2), noise_seed)
-    return decompose(covariance(smooth(csi, plan)))
+    return covariance(smooth(csi, plan))
+
+
+def decomposed_scene(cfg, plan, targets, snr_db, noise_seed=0):
+    return decompose(scene_covariance(cfg, plan, targets, snr_db, noise_seed))
 
 
 class TestSteeringParams:
@@ -170,14 +175,18 @@ class TestDecompose:
         cfg = baseline_radio()
         plan = baseline_plan(cfg)
         targets = (Target(6.0, -0.3, 0.05 + 0j), Target(14.0, 0.4, 0.01 + 0j))
-        subs = decomposed_scene(cfg, plan, targets, 15.0)
+        cov = scene_covariance(cfg, plan, targets, 15.0)
+        subs = decompose(cov)
         m = 45
         q = subs.order_estimate
-        assert subs.noise_basis.shape == (m, m - q)
+        assert q > 0
         assert subs.signal_basis.shape == (m, q)
-        eye = subs.noise_basis.conj().T @ subs.noise_basis
-        assert np.max(np.abs(eye - np.eye(m - q))) < 1e-9
-        cross = subs.signal_basis.conj().T @ subs.noise_basis
+        eye = subs.signal_basis.conj().T @ subs.signal_basis
+        assert np.max(np.abs(eye - np.eye(q))) < 1e-9
+        # The signal columns are orthogonal to the eigenvectors of the M - q
+        # smallest eigenvalues, taken from a full eigendecomposition here.
+        noise = np.linalg.eigh(cov.matrix)[1][:, :m - q]
+        cross = subs.signal_basis.conj().T @ noise
         assert np.max(np.abs(cross)) < 1e-9
         assert np.all(np.diff(subs.eigenvalues) <= 1e-12)
 
@@ -201,37 +210,45 @@ class TestDecompose:
 
 class TestMusicValue:
     def make_subspaces(self, m=10, q=2, seed=0):
+        """Subspaces on the first q columns of a seeded random unitary, and
+        the other m - q columns: the noise basis the tests check against."""
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         u, _ = np.linalg.qr(a)
-        return Subspaces(noise_basis=u[:, q:], signal_basis=u[:, :q],
-                         eigenvalues=np.ones(m), order_estimate=q)
+        return Subspaces(signal_basis=u[:, :q], eigenvalues=np.ones(m),
+                         order_estimate=q), u[:, q:]
 
     def test_orthogonal_vector_clamped(self):
-        subs = self.make_subspaces()
+        subs, _ = self.make_subspaces()
         v = subs.signal_basis[:, 0]
         assert music_value(subs, v) == MUSIC_VALUE_CLAMP
 
+    def test_clamp_bound_returns_the_clamp(self):
+        # 1 / (1 / C) rounds to C - 128, so the bound itself must give C.
+        den = 1.0 / MUSIC_VALUE_CLAMP
+        assert 1.0 / den < MUSIC_VALUE_CLAMP
+        assert music._clamped_inverse(den) == MUSIC_VALUE_CLAMP
+        vals = music._clamped_inverse(np.array([-1.0, 0.0, den, 2 * den, 4.0]))
+        assert vals.tolist() == [MUSIC_VALUE_CLAMP] * 3 + [1.0 / (2 * den), 0.25]
+
     def test_noise_column_gives_one(self):
-        subs = self.make_subspaces()
-        assert music_value(subs, subs.noise_basis[:, 3]) == pytest.approx(1.0,
-                                                                          rel=1e-12)
+        subs, noise = self.make_subspaces()
+        assert music_value(subs, noise[:, 3]) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_brute_force_sum(self, seed):
-        subs = self.make_subspaces(seed=seed)
+        subs, noise = self.make_subspaces(q=seed % 3, seed=seed)
         rng = np.random.default_rng(100 + seed)
         v = rng.normal(size=10) + 1j * rng.normal(size=10)
-        brute = sum(abs(np.vdot(subs.noise_basis[:, i], v)) ** 2
-                    for i in range(subs.noise_basis.shape[1]))
+        brute = sum(abs(np.vdot(noise[:, i], v)) ** 2
+                    for i in range(noise.shape[1]))
         assert music_value(subs, v) == pytest.approx(1.0 / brute, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_projector_formula(self, seed):
-        subs = self.make_subspaces(seed=seed)
+        subs, un = self.make_subspaces(seed=seed)
         rng = np.random.default_rng(200 + seed)
         v = rng.normal(size=10) + 1j * rng.normal(size=10)
-        un = subs.noise_basis
         denom = np.real(v.conj() @ un @ un.conj().T @ v)
         assert music_value(subs, v) == pytest.approx(1.0 / denom, rel=1e-10)
 
