@@ -12,16 +12,15 @@ from .harness import (ScenarioSpec, ScoringContext, SweepSummary, TrialResult,
                       write_sweep_outputs)
 from .music import (DEFAULT_THETA_LIM_RAD, MUSIC_VALUE_CLAMP, SpectrumEvaluator,
                     SpectrumGrid, SteeringParams, Subspaces, coarse_grid,
-                    decimated_steering, decompose, flop_estimate, grid_geometry,
-                    grid_steering, mdl_order, music_value, range_resolution,
-                    steering_params, unambiguous_range)
+                    decompose, flop_estimate, grid_geometry, grid_steering,
+                    mdl_order, music_value, range_resolution, steering_params,
+                    unambiguous_range)
 from .presets import (baseline_plan, baseline_radio, equal_m_plan,
                       range_only_plan)
 from .signal_model import (SPEED_OF_LIGHT, CsiMatrix, RadioConfig, Target,
                            TargetScene, csi_from_symbols, scene_coefficient,
                            steering_angle, steering_range, synthesize_csi)
 from .smoothing import (SampleCovariance, SubarrayPlan, covariance, make_plan,
-                        sample_subarray, smooth, subarray_indices,
-                        subarray_offsets)
+                        smooth)
 
 __version__ = "0.1.0"

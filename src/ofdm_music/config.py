@@ -27,6 +27,9 @@ from .smoothing import SubarrayPlan, make_plan
 
 _RADIO, _PLAN, _DETECTOR = baseline_radio(), baseline_plan(), DetectorConfig()
 
+# Most range differences one sweep may have; the bundled sweeps have 26.
+MAX_SWEEP_POINTS = 10_000
+
 _DEFAULTS: dict[str, object] = {
     # OFDM numerology and array geometry
     "N": _RADIO.n_subcarriers,
@@ -138,7 +141,14 @@ def build_run_config(values: dict) -> RunConfig:
     stop, step = values["range_diff_stop"], values["range_diff_step"]
     if step <= 0:
         raise ConfigError(f"range_diff_step must be positive, got {step}")
-    diffs = tuple(np.arange(values["range_diff_start"], stop + step / 2.0, step))
+    start = values["range_diff_start"]
+    # np.arange's point count, checked before numpy sizes an array by it.
+    points = (stop + step / 2.0 - start) / step
+    if not points <= MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"the range-difference sweep has {points:.3g} points; at most "
+            f"{MAX_SWEEP_POINTS} are allowed")
+    diffs = tuple(np.arange(start, stop + step / 2.0, step)) if points > 0 else ()
     # The far target sits max(diffs) beyond the base range; past r_max it
     # aliases onto a near range and is scored against truth it cannot match.
     r_max = unambiguous_range(radio, plan)

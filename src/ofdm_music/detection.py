@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import AlreadyCanceledError, ConfigError, DomainError
 from .music import (GridConfig, SpectrumEvaluator, SpectrumGrid, Subspaces,
-                    SteeringParams, coarse_grid, decimated_steering,
-                    grid_geometry)
+                    SteeringParams, coarse_grid, grid_geometry, point_steering)
 
 # Seeds are half-resolution grid maxima, so the peak to refine is about one
 # grid cell away; a step longer than a cell could tunnel to a neighboring
@@ -154,21 +153,23 @@ def cfar_threshold(grid: SpectrumGrid, p_fa: float, kappa: float = 1.0) -> float
     return empirical_quantile(grid.values, 1.0 - p_fa) * kappa
 
 
-def cancel_target(subspaces: Subspaces, params: SteeringParams,
+def cancel_target(subspaces: Subspaces, grid_config: GridConfig,
                   det: Detection) -> Subspaces:
     """Move the detected target's steering direction out of the signal basis.
 
-    The steering vector c is projected on the signal basis U_S, and
-    u = U_S w / ||w|| with w = U_S^H c, its normalized component in the
-    signal span, is taken out of it: the signal basis keeps the q - 1
-    directions orthogonal to u, and u joins the noise subspace, their
-    orthogonal complement. That nulls the target in the re-estimated
+    The steering vector c at the detection, built on the geometry of
+    ``grid_config`` by the expression that valued it, is projected on the
+    signal basis U_S, and u = U_S w / ||w|| with w = U_S^H c, its normalized
+    component in the signal span, is taken out of it: the signal basis keeps
+    the q - 1 directions orthogonal to u, and u joins the noise subspace,
+    their orthogonal complement. That nulls the target in the re-estimated
     spectrum without recomputing the eigendecomposition. Raises
     :class:`AlreadyCanceledError` when the vector already lies in the noise
     span (||w|| <= 1e-8 sqrt(M), which includes an empty signal basis),
     which signals a duplicate detection.
     """
-    c = decimated_steering(params, det.range_m, det.azimuth_rad)
+    c = point_steering(grid_geometry(grid_config).moments, det.range_m,
+                       det.azimuth_rad)
     us = subspaces.signal_basis
     w = us.conj().T @ c
     norm = float(np.linalg.norm(w))
@@ -382,8 +383,9 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
     and marks the report ``saturated``. The ``off`` routine reports the
     survivors of iteration 0 in merge order and cancels none.
 
-    ``params`` must be the steering parameters of ``grid_config``: plans of
-    equal sub-array size would otherwise cancel the wrong steering vectors.
+    Every steering vector comes from the geometry of ``grid_config``.
+    ``params`` must be its steering parameters; the check only rejects an
+    inconsistent caller.
     """
     if params != grid_geometry(grid_config).params:
         raise ConfigError("steering parameters do not match the grid config")
@@ -415,7 +417,7 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
                 break
             det = Detection(r, th, val, iteration)
             try:
-                current = cancel_target(current, params, det)
+                current = cancel_target(current, grid_config, det)
             except AlreadyCanceledError:
                 continue   # converged onto an already-canceled peak; drop it
             detections.append(det)

@@ -5,6 +5,10 @@ Wax-Kailath minimum-description-length rule, and the pseudospectrum
 1 / ||U_N^H v(r, theta)||^2 is evaluated with steering vectors matched to the
 decimated sub-array lattice. Only the q signal eigenvectors U_S are kept;
 ||U_N^H v||^2 is read off them by the projector U_N U_N^H = I - U_S U_S^H.
+
+Every steering vector, gridded, refined, valued or canceled, is one
+expression: element m of v(r, theta) is exp(j(r*a[m] + sin(theta)*b[m])),
+with the phase ramps a, b of :class:`GridGeometry` ``moments``.
 """
 
 from __future__ import annotations
@@ -42,18 +46,15 @@ class Subspaces:
 
 @dataclass(frozen=True)
 class SteeringParams:
-    """Per-element phase factors of the decimated steering vectors.
+    """The three numbers the coarse grid reads from a radio and plan pair.
 
-    phi_a = 2*pi*D_a*d/lambda, phi_f = -2*pi*D_f*df. Carries the speed of
-    light and the unambiguous range so steering can be evaluated and
-    domain-checked standalone.
+    phi_a = 2*pi*D_a*d/lambda and phi_f = -2*pi*D_f*df are the per-element
+    phase factors of the decimated steering vectors, and r_max_m is the
+    unambiguous range that bounds the grid's range axis.
     """
 
     phi_a: float
     phi_f: float
-    n_sub_a: int
-    n_sub_f: int
-    speed_of_light_m_s: float
     r_max_m: float
 
 
@@ -128,27 +129,7 @@ def steering_params(config: RadioConfig, plan: SubarrayPlan) -> SteeringParams:
         phi_a=2.0 * math.pi * plan.decim_a * config.antenna_spacing_m
         / config.wavelength_m,
         phi_f=-2.0 * math.pi * plan.decim_f * config.subcarrier_spacing_hz,
-        n_sub_a=plan.n_sub_a,
-        n_sub_f=plan.n_sub_f,
-        speed_of_light_m_s=config.speed_of_light_m_s,
         r_max_m=unambiguous_range(config, plan))
-
-
-def decimated_steering(params: SteeringParams, r: float, theta: float) -> np.ndarray:
-    """Length-M steering vector on the decimated lattice, a~(r) kron b~(theta).
-
-    Element i*n_sub_a + j equals exp(j*phi_f*(2r/c)*i) * exp(j*phi_a*sin(theta)*j).
-    Ranges at or beyond the unambiguous range alias and are rejected.
-    """
-    if not 0 <= r < params.r_max_m:
-        raise DomainError(
-            f"range {r} outside unambiguous domain [0, {params.r_max_m})")
-    if abs(theta) > math.pi / 2:
-        raise DomainError(f"azimuth {theta} outside [-pi/2, pi/2]")
-    a = np.exp(1j * params.phi_f * (2.0 * r / params.speed_of_light_m_s)
-               * np.arange(params.n_sub_f))
-    b = np.exp(1j * params.phi_a * math.sin(theta) * np.arange(params.n_sub_a))
-    return (a[:, np.newaxis] * b[np.newaxis, :]).ravel()
 
 
 def music_value(subspaces: Subspaces, steering: np.ndarray) -> float:
@@ -172,6 +153,12 @@ def _steering(moments: np.ndarray, r, s) -> np.ndarray:
     ``r`` and sines ``s`` that broadcast; the last axis is the element."""
     return np.exp(1j * (np.multiply.outer(r, moments[1])
                         + np.multiply.outer(s, moments[2])))
+
+
+def point_steering(moments: np.ndarray, r: float, theta: float) -> np.ndarray:
+    """The steering vector at (r, theta): the one vector that
+    :meth:`SpectrumEvaluator.value` values and ``cancel_target`` nulls."""
+    return _steering(moments, r, math.sin(theta))
 
 
 def grid_steering(moments: np.ndarray, ranges_m: np.ndarray,
@@ -218,8 +205,7 @@ class SpectrumEvaluator:
                 * signal[:, np.newaxis, :]).reshape(len(signal), -1)
 
     def value(self, r: float, theta: float) -> float:
-        return music_value(self._subspaces,
-                           _steering(self._moments, r, math.sin(theta)))
+        return music_value(self._subspaces, point_steering(self._moments, r, theta))
 
     def values(self, steering: np.ndarray) -> np.ndarray:
         """Values at the steering vectors that are the columns of ``steering``."""
@@ -325,7 +311,7 @@ def grid_geometry(grid_config: GridConfig) -> GridGeometry:
     cell = np.array([r_step, th_step])
     i = np.repeat(np.arange(plan.n_sub_f), plan.n_sub_a)
     j = np.tile(np.arange(plan.n_sub_a), plan.n_sub_f)
-    a = params.phi_f * (2.0 / params.speed_of_light_m_s) * i
+    a = params.phi_f * (2.0 / radio.speed_of_light_m_s) * i
     b = params.phi_a * j
     moments = np.stack([np.ones_like(a), a, b, a * a, a * b, b * b])
     steering = grid_steering(moments, ranges, angles)

@@ -110,34 +110,6 @@ def make_plan(config: RadioConfig, aperture_f: int, aperture_a: int,
         n_subcarriers=config.n_subcarriers, n_antennas=config.n_antennas)
 
 
-def subarray_offsets(plan: SubarrayPlan, ell: int) -> tuple[int, int]:
-    """(antenna offset, subcarrier offset) of the ell-th sub-array."""
-    if not 0 <= ell < plan.n_subarrays:
-        raise IndexError(
-            f"sub-array ordinal {ell} outside [0, {plan.n_subarrays})")
-    return (ell % plan.n_sets_a) * plan.stride_a, \
-        (ell // plan.n_sets_a) * plan.stride_f
-
-
-def subarray_indices(plan: SubarrayPlan, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Length-M antenna and subcarrier index vectors of the ell-th sub-array.
-
-    Antenna indices repeat their decimated run n_sub_f times (antenna varies
-    fastest); each decimated subcarrier value is held for n_sub_a slots.
-    """
-    a_off, f_off = subarray_offsets(plan, ell)
-    ant_run = a_off + np.arange(plan.n_sub_a) * plan.decim_a
-    sub_run = f_off + np.arange(plan.n_sub_f) * plan.decim_f
-    return np.tile(ant_run, plan.n_sub_f), np.repeat(sub_run, plan.n_sub_a)
-
-
-def sample_subarray(csi: CsiMatrix, plan: SubarrayPlan, ell: int) -> np.ndarray:
-    """Length-M sampled vector of the ell-th sub-array."""
-    _check_dims(csi, plan)
-    ant, sub = subarray_indices(plan, ell)
-    return csi.data[ant, sub]
-
-
 def smooth(csi: CsiMatrix, plan: SubarrayPlan) -> np.ndarray:
     """Stack all L sampled sub-array vectors as columns of an M x L matrix."""
     _check_dims(csi, plan)

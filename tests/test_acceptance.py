@@ -20,7 +20,7 @@ import pytest
 from ofdm_music import (AlreadyCanceledError, Detection, DetectorConfig,
                         GridConfig, Routine, ScenarioSpec, Target, TargetScene,
                         calibrate_kappa, cancel_target, covariance,
-                        decimated_steering, decompose, detect, flop_estimate,
+                        decompose, detect, flop_estimate,
                         make_plan, mdl_order, music_value, noise_variance_for_snr,
                         range_resolution, run_sweep, smooth, steering_angle,
                         steering_params, steering_range, synthesize_csi,
@@ -28,6 +28,8 @@ from ofdm_music import (AlreadyCanceledError, Detection, DetectorConfig,
 from ofdm_music.harness import _sub_seed
 from ofdm_music.presets import (baseline_plan, baseline_radio, equal_m_plan,
                                 range_only_plan)
+
+from oracles import decimated_steering
 
 N_WORKERS = min(2, os.cpu_count() or 1)
 
@@ -157,14 +159,14 @@ def test_criterion_7_cancelation_nulling():
     subs = decompose(covariance(smooth(csi, plan)))
     rep = detect(subs, params, GridConfig(radio, plan), DetectorConfig())
     first = max(rep.detections, key=lambda d: d.spectrum_value)
-    pre = music_value(subs, decimated_steering(params, first.range_m,
+    pre = music_value(subs, decimated_steering(radio, plan, first.range_m,
                                                first.azimuth_rad))
-    canceled = cancel_target(subs, params, first)
-    post = music_value(canceled, decimated_steering(params, first.range_m,
+    canceled = cancel_target(subs, GridConfig(radio, plan), first)
+    post = music_value(canceled, decimated_steering(radio, plan, first.range_m,
                                                     first.azimuth_rad))
     drop_db = 10.0 * math.log10(pre / post)
     second_value = music_value(
-        canceled, decimated_steering(params, 16.0, math.radians(30)))
+        canceled, decimated_steering(radio, plan, 16.0, math.radians(30)))
     ok = drop_db >= 60.0 and second_value >= rep.threshold_used
     report(7, ok, f"drop at canceled peak={drop_db:.1f} dB (>=60), "
                   f"second peak {second_value:.3g} vs gamma "
@@ -271,7 +273,7 @@ def test_criterion_10_property_suite():
             r_try = float(rng.uniform(0.0, 0.99)) * params.r_max_m
             det = Detection(r_try, theta, 1.0, 0)
             try:
-                canceled = cancel_target(subs, params, det)
+                canceled = cancel_target(subs, GridConfig(radio, plan), det)
             except AlreadyCanceledError:
                 canceled = None
             if canceled is not None:
@@ -279,7 +281,7 @@ def test_criterion_10_property_suite():
                 assert basis.shape == (m, q - 1)
                 gram = basis.conj().T @ basis
                 assert np.max(np.abs(gram - np.eye(q - 1)), initial=0) < 1e-9
-                c = decimated_steering(params, det.range_m, det.azimuth_rad)
+                c = decimated_steering(radio, plan, det.range_m, det.azimuth_rad)
                 assert np.linalg.norm(basis.conj().T @ c) \
                     <= 1e-9 * np.linalg.norm(c)
         checked += 1

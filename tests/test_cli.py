@@ -377,6 +377,26 @@ def test_threads_below_one_exit_2(baseline_cfg, tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "sweep", "calibrate",
+                                     "complexity"])
+@pytest.mark.parametrize("line", ["range_diff_start = 1e300",
+                                  "range_diff_stop = 1e300",
+                                  "range_diff_step = 1e-300"])
+def test_unbounded_sweep_exit_2(tmp_path, capsys, command, line):
+    # The point count is checked before any array is sized by it: numpy's
+    # arange used to end these runs with exit 1 and "Maximum allowed size
+    # exceeded".
+    path = tmp_path / "toy.cfg"
+    path.write_text(bundled_config_text("toy_geometry.cfg")
+                    + "\n%s\nout_dir = %s\n" % (line, tmp_path / "out"))
+    args = [command, "--config", str(path), "--threads", "1"]
+    if command == "estimate":
+        args.insert(1, str(tmp_path / "frame.bin"))
+    assert main(args) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "calibrate"])
 @pytest.mark.parametrize("by_flag", [False, True])
 def test_negative_seed_exit_2(baseline_cfg, tmp_path, capsys, command, by_flag):

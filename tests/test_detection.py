@@ -11,14 +11,17 @@ from ofdm_music import (DEFAULT_THETA_LIM_RAD, AlreadyCanceledError,
                         GridConfig, Routine, ScenarioSpec, SpectrumEvaluator,
                         SpectrumGrid, Subspaces, Target, TargetScene,
                         cancel_target, cfar_threshold, coarse_grid, covariance,
-                        decimated_steering, decompose, detect, generate_trial,
+                        decompose, detect, generate_trial,
                         grid_geometry, grid_steering, music_value,
                         noise_variance_for_snr, refine_candidates, run_trial,
                         smooth, steering_params, synthesize_csi)
 from ofdm_music import detection, music
 from ofdm_music.detection import _ascend, empirical_quantile
+from ofdm_music.music import point_steering
 from ofdm_music.presets import (baseline_plan, baseline_radio, equal_m_plan,
                                 range_only_plan)
+
+from oracles import decimated_steering
 
 
 def pipeline(targets, snr_db, noise_seed=0, plan=None, radio=None):
@@ -245,7 +248,7 @@ class TestRefineCandidates:
         params, subs, grid, gc = random_scene(seed)
         if canceled:
             r, th, _ = grid.argmax()
-            subs = cancel_target(subs, params, Detection(r, th, 0.0, 0))
+            subs = cancel_target(subs, gc, Detection(r, th, 0.0, 0))
         ev = SpectrumEvaluator(subs, grid_geometry(gc))
         rng = np.random.default_rng(seed)
         r = rng.uniform(1.0, 24.0, 8)
@@ -271,12 +274,12 @@ class TestCancelTarget:
         # makes it the line of the normalized steering vector.
         radio = baseline_radio()
         plan = baseline_plan(radio)
-        params = steering_params(radio, plan)
         m = plan.samples_per_subarray
         subs = Subspaces(signal_basis=np.eye(m, dtype=complex),
                          eigenvalues=np.ones(m), order_estimate=m)
-        out = cancel_target(subs, params, Detection(5.0, 0.1, 1.0, 0))
-        v = decimated_steering(params, 5.0, 0.1)
+        out = cancel_target(subs, GridConfig(radio, plan),
+                            Detection(5.0, 0.1, 1.0, 0))
+        v = decimated_steering(radio, plan, 5.0, 0.1)
         assert out.signal_basis.shape == (m, m - 1)
         noise = noise_complement(out.signal_basis)
         assert noise.shape == (m, 1)
@@ -289,11 +292,46 @@ class TestCancelTarget:
             (Target(8.0, math.radians(-20), 0.016 + 0j),
              Target(16.0, math.radians(30), 0.004 + 0j)), 120.0)
         det = Detection(8.0, math.radians(-20), 0.0, 0)
-        pre = music_value(subs, decimated_steering(params, 8.0, math.radians(-20)))
-        out = cancel_target(subs, params, det)
-        post = music_value(out, decimated_steering(params, 8.0, math.radians(-20)))
+        c = decimated_steering(radio, plan, 8.0, math.radians(-20))
+        pre = music_value(subs, c)
+        out = cancel_target(subs, GridConfig(radio, plan), det)
+        post = music_value(out, c)
         assert pre > 1e9
         assert post <= 1e-6 * pre
+
+    def test_nulls_the_valued_vector(self):
+        # 200 seeded two-target scenes at 5-60 dB: after the first
+        # detection's cancel, the vector its value was taken at keeps only
+        # rounding in the signal span (max 3.1e-16 relative). Canceling the
+        # Kronecker form of the same point left up to 2.0e-15 (11 scenes
+        # above 1e-15).
+        radio = baseline_radio()
+        plan = baseline_plan(radio)
+        gc = GridConfig(radio, plan)
+        params = steering_params(radio, plan)
+        moments = grid_geometry(gc).moments
+        rng = np.random.default_rng(21)
+        spec = ScenarioSpec(n_trials=200, snr_db=15.0, base_range_max_m=22.0,
+                            rng_seed=21)
+        residuals = []
+        for i in range(200):
+            targets = generate_trial(spec, radio, i, float(rng.uniform(0.0, 2.5))
+                                     ).targets
+            sigma2 = noise_variance_for_snr(TargetScene(targets, 0.0), radio,
+                                            float(rng.uniform(5.0, 60.0)))
+            subs = decompose(covariance(smooth(synthesize_csi(
+                radio, TargetScene(targets, sigma2), 9000 + i), plan)))
+            report = detect(subs, params, gc, DetectorConfig())
+            if not report.detections:
+                continue
+            det = report.detections[0]
+            v = point_steering(moments, det.range_m, det.azimuth_rad)
+            assert music_value(subs, v) == det.spectrum_value
+            signal = cancel_target(subs, gc, det).signal_basis
+            residuals.append(np.linalg.norm(signal.conj().T @ v)
+                             / np.linalg.norm(v))
+        assert len(residuals) >= 190
+        assert max(residuals) <= 1e-15
 
     def test_orthonormality_and_column_count(self):
         radio, plan, params, subs = pipeline(
@@ -308,10 +346,11 @@ class TestCancelTarget:
         for i, (r, th) in enumerate([(6.0, -0.3), (14.0, 0.4), (20.0, 0.9)]):
             if out.signal_basis.shape[1] == 0:
                 break
-            c = decimated_steering(params, r, th)
+            c = decimated_steering(radio, plan, r, th)
             basis = np.hstack([basis, canceled_direction(out.signal_basis, c)
                                [:, np.newaxis]])
-            out = cancel_target(out, params, Detection(r, th, 0.0, i))
+            out = cancel_target(out, GridConfig(radio, plan),
+                                Detection(r, th, 0.0, i))
             signal = out.signal_basis
             assert basis.shape[1] == n0 + i + 1
             assert basis.shape[1] + signal.shape[1] == m
@@ -333,10 +372,11 @@ class TestCancelTarget:
             current = subs
             noise = noise_complement(subs.signal_basis)
             for det in report.detections:
-                c = decimated_steering(params, det.range_m, det.azimuth_rad)
+                c = decimated_steering(gc.radio, gc.plan, det.range_m,
+                                       det.azimuth_rad)
                 noise = np.hstack([noise, canceled_direction(
                     current.signal_basis, c)[:, np.newaxis]])
-                current = cancel_target(current, params, det)
+                current = cancel_target(current, gc, det)
                 signal = current.signal_basis
                 assert noise.shape[1] + signal.shape[1] == noise.shape[0]
                 gram = noise.conj().T @ noise
@@ -346,7 +386,7 @@ class TestCancelTarget:
                               initial=0) < 1e-12
                 assert np.max(np.abs(signal.conj().T @ noise), initial=0) < 1e-12
                 with pytest.raises(AlreadyCanceledError):
-                    cancel_target(current, params, det)
+                    cancel_target(current, gc, det)
                 checked += 1
         assert checked >= 10
 
@@ -366,7 +406,7 @@ class TestCancelTarget:
         subs = decompose(cov)
         report = detect(subs, params, GridConfig(radio, plan), DetectorConfig())
         first = max(report.detections, key=lambda d: d.spectrum_value)
-        c = decimated_steering(params, first.range_m, first.azimuth_rad)
+        c = decimated_steering(radio, plan, first.range_m, first.azimuth_rad)
         m, q = c.size, subs.order_estimate
         noise = np.linalg.eigh(cov.matrix)[1][:, :m - q]
         proj = noise.conj().T @ c
@@ -380,9 +420,10 @@ class TestCancelTarget:
         radio, plan, params, subs = pipeline(
             (Target(8.0, 0.2, 0.016 + 0j),), 120.0)
         det = Detection(8.0, 0.2, 0.0, 0)
-        out = cancel_target(subs, params, det)
+        gc = GridConfig(radio, plan)
+        out = cancel_target(subs, gc, det)
         with pytest.raises(AlreadyCanceledError):
-            cancel_target(out, params, det)
+            cancel_target(out, gc, det)
 
     def test_unresolvable_pair_leaves_displaced_residual(self):
         # close pair: canceling the fitted peak leaves a residual peak that
@@ -394,7 +435,7 @@ class TestCancelTarget:
         report = detect(subs, params, gc, DetectorConfig())
         assert report.detections
         first = max(report.detections, key=lambda d: d.spectrum_value)
-        out = cancel_target(subs, params, first)
+        out = cancel_target(subs, gc, first)
         geometry = grid_geometry(gc)
         ev = SpectrumEvaluator(out, geometry)
         ranges = np.linspace(8.0, 13.0, 161)
@@ -606,7 +647,7 @@ def detect_loop_reference(subspaces, params, grid_config, det_config):
                 break
             det = Detection(r, th, val, iteration)
             try:
-                current = cancel_target(current, params, det)
+                current = cancel_target(current, grid_config, det)
             except AlreadyCanceledError:
                 continue
             detections.append(det)
@@ -691,8 +732,8 @@ class TestDetectLoop:
         # leaves no signal columns, so the second cannot be canceled.
         radio, plan, params, _ = self.two_target_subspaces()
         u = sum(v / np.linalg.norm(v) for v in (
-            decimated_steering(params, 7.0, math.radians(-25)),
-            decimated_steering(params, 14.0, math.radians(20))))
+            decimated_steering(radio, plan, 7.0, math.radians(-25)),
+            decimated_steering(radio, plan, 14.0, math.radians(20))))
         w, vecs = np.linalg.eigh(np.outer(u, u.conj()))
         one = Subspaces(signal_basis=vecs[:, -1:], eigenvalues=w[::-1],
                         order_estimate=1)
@@ -967,9 +1008,9 @@ def coarse_grid_reference(subspaces, params, config, plan,
         angles = angles[angles <= theta_lim_rad + 1e-12]
     else:
         angles = np.array([0.0])
-    i = np.repeat(np.arange(params.n_sub_f), params.n_sub_a)
-    j = np.tile(np.arange(params.n_sub_a), params.n_sub_f)
-    ramp_r = params.phi_f * (2.0 / params.speed_of_light_m_s) * i
+    i = np.repeat(np.arange(plan.n_sub_f), plan.n_sub_a)
+    j = np.tile(np.arange(plan.n_sub_a), plan.n_sub_f)
+    ramp_r = params.phi_f * (2.0 / config.speed_of_light_m_s) * i
     ramp_theta = params.phi_a * j
     sin_th = np.sin(angles)
     phases = ranges[:, np.newaxis, np.newaxis] * ramp_r \
@@ -1015,7 +1056,7 @@ class TestGridGeometry:
             current = subs
             for det in (None,) + report.detections:
                 if det is not None:
-                    current = cancel_target(current, params, det)
+                    current = cancel_target(current, gc, det)
                 for lim in self.LIMITS[:2]:
                     g = GridConfig(gc.radio, gc.plan, lim)
                     got = coarse_grid(current, g)
@@ -1037,7 +1078,7 @@ class TestGridGeometry:
             current = subs
             for det in (None,) + report.detections:
                 if det is not None:
-                    current = cancel_target(current, params, det)
+                    current = cancel_target(current, gc, det)
                 got = coarse_grid(current, gc).values
                 want = coarse_grid_reference(current, params, gc.radio, gc.plan,
                                              noise_side=True).values

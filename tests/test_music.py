@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,14 +6,16 @@ import pytest
 
 from ofdm_music import (ConfigError, DomainError, GridConfig, NumericalError, SampleCovariance, SpectrumEvaluator, Subspaces,
                         Target, TargetScene, coarse_grid, covariance,
-                        decimated_steering, decompose, flop_estimate,
+                        decompose, flop_estimate,
                         grid_geometry, grid_steering,
                         mdl_order, music_value, noise_variance_for_snr,
-                        range_resolution, sample_subarray, smooth, steering_params,
+                        range_resolution, smooth, steering_params,
                         synthesize_csi, unambiguous_range)
 from ofdm_music import music
-from ofdm_music.music import MUSIC_VALUE_CLAMP
+from ofdm_music.music import MUSIC_VALUE_CLAMP, point_steering
 from ofdm_music.presets import baseline_plan, baseline_radio, equal_m_plan
+
+from oracles import decimated_steering, sample_subarray
 
 
 def scene_covariance(cfg, plan, targets, snr_db, noise_seed=0):
@@ -35,24 +38,46 @@ class TestSteeringParams:
             2 * math.pi * plan.decim_a * cfg.antenna_spacing_m / cfg.wavelength_m)
         assert p.phi_a == pytest.approx(math.pi)   # half-wavelength spacing
         assert p.phi_f == pytest.approx(-2 * math.pi * 100 * 60e3)
-        assert (p.n_sub_f, p.n_sub_a) == (15, 3)
         assert p.r_max_m == pytest.approx(25.0)
+        # The grid reads only these; counts and c come from the plan and radio.
+        assert [f.name for f in dataclasses.fields(p)] == \
+            ["phi_a", "phi_f", "r_max_m"]
 
 
 class TestDecimatedSteering:
+    """The Kronecker form of ``oracles``, and the package's one steering
+    expression against it."""
+
     def test_origin_all_ones(self):
-        p = steering_params(baseline_radio(), baseline_plan())
-        assert np.array_equal(decimated_steering(p, 0.0, 0.0), np.ones(45))
+        cfg = baseline_radio()
+        assert np.array_equal(decimated_steering(cfg, baseline_plan(cfg), 0.0, 0.0),
+                              np.ones(45))
 
     def test_kronecker_structure(self):
-        p = steering_params(baseline_radio(), baseline_plan())
-        v = decimated_steering(p, 7.3, 0.42)
-        a = np.exp(1j * p.phi_f * 2 * 7.3 / p.speed_of_light_m_s
-                   * np.arange(p.n_sub_f))
-        b = np.exp(1j * p.phi_a * math.sin(0.42) * np.arange(p.n_sub_a))
-        for i in range(p.n_sub_f):
-            for j in range(p.n_sub_a):
-                assert v[i * p.n_sub_a + j] == pytest.approx(a[i] * b[j], rel=1e-12)
+        cfg = baseline_radio()
+        plan = baseline_plan(cfg)
+        p = steering_params(cfg, plan)
+        v = decimated_steering(cfg, plan, 7.3, 0.42)
+        a = np.exp(1j * p.phi_f * 2 * 7.3 / cfg.speed_of_light_m_s
+                   * np.arange(plan.n_sub_f))
+        b = np.exp(1j * p.phi_a * math.sin(0.42) * np.arange(plan.n_sub_a))
+        for i in range(plan.n_sub_f):
+            for j in range(plan.n_sub_a):
+                assert v[i * plan.n_sub_a + j] == pytest.approx(a[i] * b[j],
+                                                                rel=1e-12)
+
+    @pytest.mark.parametrize("plan_fn", [baseline_plan,
+                                         lambda cfg: equal_m_plan(50, cfg)],
+                             ids=["baseline", "equal_m_50"])
+    def test_point_steering_matches_kronecker_form(self, plan_fn):
+        cfg = baseline_radio()
+        plan = plan_fn(cfg)
+        moments = grid_geometry(GridConfig(cfg, plan)).moments
+        rng = np.random.default_rng(3)
+        r_max = unambiguous_range(cfg, plan)
+        for r, th in zip(rng.uniform(0.0, r_max, 50), rng.uniform(-1.5, 1.5, 50)):
+            assert np.max(np.abs(point_steering(moments, r, th)
+                                 - decimated_steering(cfg, plan, r, th))) < 1e-12
 
     def test_matches_sampled_subarray(self):
         cfg = baseline_radio()
@@ -60,17 +85,18 @@ class TestDecimatedSteering:
         h = 1.3 - 0.2j
         csi = synthesize_csi(cfg, TargetScene((Target(11.0, -0.5, h),), 0.0), 0)
         sampled = sample_subarray(csi, plan, 0)
-        steer = decimated_steering(steering_params(cfg, plan), 11.0, -0.5)
+        steer = decimated_steering(cfg, plan, 11.0, -0.5)
         assert sampled == pytest.approx(h * steer, rel=1e-12)
 
     def test_domain_checks(self):
-        p = steering_params(baseline_radio(), baseline_plan())
+        cfg = baseline_radio()
+        plan = baseline_plan(cfg)
         with pytest.raises(DomainError):
-            decimated_steering(p, 25.0, 0.0)
+            decimated_steering(cfg, plan, 25.0, 0.0)
         with pytest.raises(DomainError):
-            decimated_steering(p, -1.0, 0.0)
+            decimated_steering(cfg, plan, -1.0, 0.0)
         with pytest.raises(DomainError):
-            decimated_steering(p, 1.0, 2.0)
+            decimated_steering(cfg, plan, 1.0, 2.0)
 
 
 def mdl_order_loop(eigenvalues, n_snapshots):
@@ -255,7 +281,6 @@ class TestMusicValue:
     def test_evaluator_matches_music_value(self):
         cfg = baseline_radio()
         plan = baseline_plan(cfg)
-        params = steering_params(cfg, plan)
         subs = decomposed_scene(cfg, plan, (Target(8.0, 0.3, 0.02 + 0j),), 20.0)
         geometry = grid_geometry(GridConfig(cfg, plan))
         ev = SpectrumEvaluator(subs, geometry)
@@ -263,7 +288,7 @@ class TestMusicValue:
         for _ in range(20):
             r = rng.uniform(0, 24.9)
             th = rng.uniform(-1.0, 1.0)
-            direct = music_value(subs, decimated_steering(params, r, th))
+            direct = music_value(subs, decimated_steering(cfg, plan, r, th))
             assert ev.value(r, th) == pytest.approx(direct, rel=1e-12)
         ranges = np.linspace(0.0, 24.0, 7)
         angles = np.linspace(-1.0, 1.0, 5)
@@ -347,12 +372,12 @@ class TestResolutionAndGrid:
         subs = decomposed_scene(cfg, plan, (Target(7.0, 0.2, 0.02 + 0j),), 20.0)
         theta = 0.2
         b = np.exp(1j * params.phi_a * math.sin(theta)
-                   * np.arange(params.n_sub_a))
+                   * np.arange(plan.n_sub_a))
         for r in (7.0, 3.3, 14.2):
-            v1 = decimated_steering(params, r, theta)
+            v1 = decimated_steering(cfg, plan, r, theta)
             a2 = np.exp(1j * params.phi_f
-                        * 2 * (r + params.r_max_m) / params.speed_of_light_m_s
-                        * np.arange(params.n_sub_f))
+                        * 2 * (r + params.r_max_m) / cfg.speed_of_light_m_s
+                        * np.arange(plan.n_sub_f))
             v2 = (a2[:, np.newaxis] * b[np.newaxis, :]).ravel()
             assert np.max(np.abs(v2 - v1)) < 1e-12
             assert music_value(subs, v2) == pytest.approx(music_value(subs, v1),

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from ofdm_music import (ConfigError, CsiMatrix, Target, TargetScene, covariance,
-                        decimated_steering, make_plan, sample_subarray, smooth,
-                        steering_params, subarray_indices, subarray_offsets,
-                        synthesize_csi)
+                        make_plan, smooth, synthesize_csi)
 from ofdm_music import smoothing
 from ofdm_music.presets import baseline_plan, baseline_radio
 
+from oracles import (decimated_steering, sample_subarray, subarray_indices,
+                     subarray_offsets)
 from test_signal_model import small_radio
 
 
@@ -106,7 +106,7 @@ class TestSampleSubarray:
         scene = TargetScene((Target(12.0, 0.35, h),), 0.0)
         csi = synthesize_csi(cfg, scene, 0)
         sampled = sample_subarray(csi, plan, 0)   # zero offsets
-        steer = decimated_steering(steering_params(cfg, plan), 12.0, 0.35)
+        steer = decimated_steering(cfg, plan, 12.0, 0.35)
         assert sampled == pytest.approx(h * steer, rel=1e-12)
 
     def test_frequency_stride_phase_constant(self):
