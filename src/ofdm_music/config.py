@@ -19,7 +19,7 @@ import numpy as np
 
 from .detection import DetectorConfig, Routine
 from .errors import ConfigError
-from .harness import ScenarioSpec
+from .harness import BASE_RANGE_LIMITS_M, ScenarioSpec
 from .music import GridConfig, unambiguous_range
 from .presets import baseline_plan, baseline_radio
 from .signal_model import RadioConfig
@@ -126,8 +126,10 @@ def parse_config_text(text: str) -> dict:
 
 def build_run_config(values: dict) -> RunConfig:
     """Materialize the typed configuration objects from parsed key values."""
-    wavelength = values["c"] / values["f_c"]
-    spacing = values["d"] if values["d"] is not None else wavelength / 2.0
+    spacing = values["d"]
+    if spacing is None:
+        # RadioConfig rejects a zero f_c before it reads the spacing.
+        spacing = values["c"] / values["f_c"] / 2.0 if values["f_c"] else 0.0
     radio = RadioConfig(
         n_subcarriers=values["N"], subcarrier_spacing_hz=values["delta_f"],
         carrier_freq_hz=values["f_c"], n_antennas=values["K"],
@@ -156,6 +158,12 @@ def build_run_config(values: dict) -> RunConfig:
     base_max = values["base_range_max_m"]
     if base_max is None:
         base_max = r_max - reach
+        if not base_max <= BASE_RANGE_LIMITS_M[1]:
+            raise ConfigError(
+                f"the default base_range_max_m, the unambiguous range "
+                f"c / (2 D_f delta_f) = {r_max:g} m less {reach:g} m, exceeds "
+                f"{BASE_RANGE_LIMITS_M[1]:g} m; raise delta_f or D_f, or set "
+                f"base_range_max_m")
     elif base_max + reach > r_max:
         raise ConfigError(
             f"base_range_max_m + max range difference = {base_max} + {reach} "

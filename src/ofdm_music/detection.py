@@ -224,19 +224,16 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
     runs out.
 
     Each seed's state is a handful of Python floats, and its step is
-    recomputed only when it accepts a move. A step evaluates, in one batched
-    :meth:`SpectrumEvaluator.denominator` call, only the seeds whose trial
-    point is new. A seed whose trial point is the point it was last rejected
-    at just halves its radius: the denominator there is already known, and a
-    seed's denominator never rises, so the step would be rejected again. A
-    seed whose trial point rounds to its current point has stopped for good,
-    since the shorter steps that follow round there too; so has a seed whose
-    capped step is shorter than ``_MIN_STEP_CELLS``. A stopped seed's state
-    never changes again, so it would keep stopping. These skips are exact
-    because the denominator of a point does not depend on the batch it is
-    evaluated in, and the scalar arithmetic repeats the order of operations
-    of the batched form, so the iterates are the same bit for bit as those
-    of an ascent that steps every seed, frozen ones in place, at every step.
+    recomputed only when it accepts a move. A seed stops once its capped
+    step is shorter than ``_MIN_STEP_CELLS``, which includes a point with
+    both axes held, whose step has zero length; a stopped seed's state never
+    changes again, so it would keep stopping. Each step evaluates every seed
+    that has not stopped in one batched :meth:`SpectrumEvaluator.denominator`
+    call, and the loop ends once every seed has stopped. The iterates are the
+    same bit for bit as those of an ascent that steps every seed, stopped
+    ones in place, at every step, because the denominator of a point does
+    not depend on the batch it is evaluated in, and the scalar arithmetic
+    repeats the order of operations of the batched form.
     """
     c0, c1 = map(float, cell)
     lo0, lo1 = map(float, lo)
@@ -269,8 +266,8 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
         return -g0 / slope, -g1 / slope
 
     def step(point, grad, hess):
-        """(d0, d1, length) of the step from ``point``; a zero length reads
-        as 1.0. An axis whose step leaves the box from its bound is held."""
+        """(d0, d1, length) of the step from ``point``. An axis whose step
+        leaves the box from its bound is held."""
         x0, x1 = point
         f0, f1 = free0, free1
         while True:
@@ -280,46 +277,34 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
             if not (out0 or out1):
                 break
             f0, f1 = (0.0 if out0 else f0), (0.0 if out1 else f1)
-        length = math.sqrt(d0 * d0 + d1 * d1)
-        return d0, d1, length if length > 0 else 1.0
+        return d0, d1, math.sqrt(d0 * d0 + d1 * d1)
 
     points = np.asarray(x, dtype=float).reshape(-1, 2).tolist()
     state = [(den, *step(point, grad, hess))
              for point, (den, grad, hess) in zip(points, evaluate(points))]
     radius = [_MAX_STEP_CELLS] * len(points)
-    rejected = [None] * len(points)
     active = list(range(len(points)))
     for _ in range(_ASCENT_STEPS):
-        moving, fresh, trials = [], [], []
+        moving, trials = [], []
         for i in active:
             x0, x1 = points[i]
             _, d0, d1, length = state[i]
+            if min(length, radius[i]) < _MIN_STEP_CELLS:
+                continue
             shrink = min(1.0, radius[i] / length)
-            if length * shrink < _MIN_STEP_CELLS:
-                continue
-            trial = [min(max(x0 + d0 * shrink * c0, lo0), hi0),
-                     min(max(x1 + d1 * shrink * c1, lo1), hi1)]
-            if trial == points[i]:
-                continue
             moving.append(i)
-            if trial == rejected[i]:
-                radius[i] /= 2.0
-            else:
-                fresh.append(i)
-                trials.append(trial)
-        if trials:
-            for i, trial, (den, grad, hess) in zip(fresh, trials,
-                                                   evaluate(trials)):
-                if den < state[i][0]:
-                    points[i] = trial
-                    state[i] = (den, *step(trial, grad, hess))
-                    radius[i] = min(2.0 * radius[i], _MAX_STEP_CELLS)
-                else:
-                    radius[i] /= 2.0
-                    rejected[i] = trial
-        active = moving
-        if not active:
+            trials.append([min(max(x0 + d0 * shrink * c0, lo0), hi0),
+                           min(max(x1 + d1 * shrink * c1, lo1), hi1)])
+        if not moving:
             break
+        for i, trial, (den, grad, hess) in zip(moving, trials, evaluate(trials)):
+            if den < state[i][0]:
+                points[i] = trial
+                state[i] = (den, *step(trial, grad, hess))
+                radius[i] = min(2.0 * radius[i], _MAX_STEP_CELLS)
+            else:
+                radius[i] /= 2.0
+        active = moving
     return np.array(points, dtype=float).reshape(-1, 2), \
         np.array([s[0] for s in state], dtype=float)
 

@@ -47,6 +47,14 @@ _CALIBRATION_TAG = 3
 # samples off the mask edge when the point is one, so rounding never sets it.
 _MAIN_LOBE_CELLS = 2.5
 
+# The widest SNR a scenario may ask for. 10 ** (snr_db / 10) overflows a
+# float past about 3,080 dB; +-300 dB is far beyond any noise level.
+MAX_ABS_SNR_DB = 300.0
+# The base ranges a scenario may draw from. Over this span the inverse-square
+# coefficients and their noise variances stay normal floats at any allowed
+# SNR, while they overflow near 1e-300 m and underflow to 0 near 1e300 m.
+BASE_RANGE_LIMITS_M = (1e-3, 1e12)
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -70,12 +78,15 @@ class ScenarioSpec:
             raise ConfigError(f"seed must be >= 0, got {self.rng_seed}")
         if not (self.range_diffs_m or self.free_placement):
             raise ConfigError("a sweep needs at least one range difference")
-        if not math.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        if not abs(self.snr_db) <= MAX_ABS_SNR_DB:
+            raise ConfigError(f"snr_db must lie in [-{MAX_ABS_SNR_DB:g}, "
+                              f"{MAX_ABS_SNR_DB:g}] dB, got {self.snr_db}")
         if not all(0 <= d < math.inf for d in self.range_diffs_m):
             raise ConfigError("range differences must be finite and nonnegative")
-        if not 0 < self.base_range_max_m < math.inf:
-            raise ConfigError("base_range_max_m must be positive and finite")
+        r_lo, r_hi = BASE_RANGE_LIMITS_M
+        if not r_lo <= self.base_range_max_m <= r_hi:
+            raise ConfigError(f"base_range_max_m must lie in [{r_lo:g}, {r_hi:g}] "
+                              f"m, got {self.base_range_max_m}")
         lo, hi = self.angle_range_deg
         if not -90.0 < lo < hi < 90.0:
             raise ConfigError(f"angle range {self.angle_range_deg} deg must be "

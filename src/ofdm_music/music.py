@@ -27,6 +27,8 @@ from .smoothing import SampleCovariance, SubarrayPlan
 MUSIC_VALUE_CLAMP = 1e18
 
 DEFAULT_THETA_LIM_RAD = math.radians(60.0)
+# Most angles one coarse grid may have; the baseline grid has 5.
+MAX_GRID_ANGLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -261,6 +263,22 @@ class GridConfig:
         if not 0.0 <= self.theta_lim_rad <= math.pi / 2:
             raise ConfigError(
                 f"theta limit must lie in [0, pi/2] rad, got {self.theta_lim_rad}")
+        # The axes' point counts in grid_geometry, checked before numpy sizes
+        # an array by them. The range axis has 2 A_f / D_f points unless r_max
+        # overflows; the angle step is half of lambda / extent.
+        radio, plan = self.radio, self.plan
+        r_max = unambiguous_range(radio, plan)
+        if not r_max < math.inf:
+            raise ConfigError(
+                f"the unambiguous range c / (2 D_f delta_f) overflows to {r_max}")
+        waves = (plan.n_sub_a - 1) * plan.decim_a * radio.antenna_spacing_m \
+            / radio.wavelength_m
+        angles = (2.0 * self.theta_lim_rad + 1e-12) * 2.0 * waves
+        if not angles <= MAX_GRID_ANGLES:
+            raise ConfigError(
+                f"antenna spacing d = {radio.antenna_spacing_m:g} m spans the "
+                f"sub-array over {waves:.3g} wavelengths, for {angles:.3g} grid "
+                f"angles; at most {MAX_GRID_ANGLES} are allowed")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 import json
 import math
 import os
+import shutil
+import signal
 import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ofdm_music
-from ofdm_music import (DetectorConfig, TargetScene, Target,
+from ofdm_music import harness
+from ofdm_music import (CsiMatrix, DetectorConfig, TargetScene, Target,
                         noise_variance_for_snr, synthesize_csi)
 from ofdm_music.cli import main
 from ofdm_music.config import (_DEFAULTS, bundled_config_text,
@@ -132,6 +136,16 @@ class TestComplexityCommand:
         assert "configuration error" in err and "M = 2" in err
 
 
+# Finite values that used to end a run with a traceback (exit 1) or a
+# numerical error (exit 3, delta_f alone), each with what its message names.
+_FINITE_BUT_UNUSABLE = [
+    ("d = 1e300", "antenna spacing d"),
+    ("base_range_max_m = 1e-300", "base_range_max_m"),
+    ("snr_db = 1e300", "snr_db"), ("snr_db = -1e300", "snr_db"),
+    ("delta_f = 1e-300", "delta_f"), ("f_c = 0", "carrier_freq_hz"),
+    ("c = 1e300\ndelta_f = 1e-300\nbase_range_max_m = 10", "delta_f")]
+
+
 class TestEstimateCommand:
     def write_csi(self, tmp_path, targets, snr_db, seed=11):
         radio = baseline_radio()
@@ -155,7 +169,7 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("line, needle", [
         ("kappa = nan", "kappa"), ("delta_f = inf", "delta_f"),
-        ("theta_lim_deg = 95", "theta limit")])
+        ("theta_lim_deg = 95", "theta limit"), *_FINITE_BUT_UNUSABLE])
     def test_bad_float_value_exit_2(self, baseline_cfg, tmp_path, capsys, line,
                                     needle):
         csi_path = self.write_csi(tmp_path, (), 0.0)
@@ -342,6 +356,21 @@ class TestSweepCommand:
         assert "at least one range difference" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line, needle", _FINITE_BUT_UNUSABLE)
+    def test_bad_float_value_exit_2(self, tmp_path, capsys, monkeypatch, line,
+                                    needle):
+        # The toy geometry, two trials per point; no trial may start.
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "generate_trial", no_trial)
+        path = tmp_path / "toy.cfg"
+        path.write_text(bundled_config_text("toy_geometry.cfg")
+                        + "\nJ = 2\n%s\nout_dir = %s\n" % (line, tmp_path / "out"))
+        assert main(["sweep", "--config", str(path), "--threads", "1"]) == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCalibrateCommand:
     def test_writes_kappa(self, baseline_cfg, tmp_path, capsys):
@@ -436,3 +465,131 @@ def test_import_leaves_scipy_unloaded():
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Edge values of the seeded config fuzz. The large integer stresses the size
+# each key sets while the toy geometry keeps every run under about 100 MB.
+_FUZZ_FLOATS = (0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300)
+_FUZZ_INTS = (0, 1, 4096)
+# The sweep runs J = 2 trials per point: the fuzz leaves J alone, since a
+# large J is a long run, not a bad input.
+_FUZZ_KEYS = [key for key, value in _DEFAULTS.items()
+              if key != "J" and (value is None or type(value) in (int, float))]
+_FUZZ_SECONDS = 10
+
+
+def _non_finite_fields(doc, path=""):
+    """Dotted paths (list indices left out) of the NaN and infinite numbers
+    in a parsed JSON document."""
+    if isinstance(doc, dict):
+        return {p for key, value in doc.items()
+                for p in _non_finite_fields(value, f"{path}.{key}".lstrip("."))}
+    if isinstance(doc, list):
+        return {p for value in doc for p in _non_finite_fields(value, path)}
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return {path}
+    return set()
+
+
+def _documented_nan_fields(doc):
+    """The NaN fields ``sweep.json`` has by design: the azimuth RMSE of a
+    plan with one angle column, and the x value of free placement."""
+    if "summary" not in doc:
+        return set()
+    cfg = build_run_config(doc["config"])
+    return ({"summary.rmse_azimuth_deg"} if cfg.plan.n_sub_a == 1 else set()) \
+        | ({"summary.x_axis"} if cfg.scenario.free_placement else set())
+
+
+def _fuzz_run(args, out_dir, capsys):
+    """Run ``main(args)`` under a wall-time alarm; returns the problems seen."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no exit within {_FUZZ_SECONDS} s")
+
+    shutil.rmtree(out_dir, ignore_errors=True)
+    capsys.readouterr()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(_FUZZ_SECONDS)
+    try:
+        code = main(args)
+    except Exception as exc:   # any escape is what the fuzz looks for
+        return [f"raised {exc!r}"]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    problems = [] if code in (0, 2, 3) else [f"exit {code}"]
+    texts = [capsys.readouterr().out] if args[0] == "estimate" and code == 0 \
+        else []
+    texts += [path.read_text() for path in sorted(out_dir.glob("*.json"))]
+    for text in texts:
+        doc = json.loads(text)
+        bad = _non_finite_fields(doc) - _documented_nan_fields(doc)
+        if bad:
+            problems.append(f"non-finite JSON in {sorted(bad)}")
+    return problems
+
+
+def _toy_frame(path):
+    """A fixed 5 x 16 CSI frame for the toy geometry, two targets at 15 dB."""
+    cfg = build_run_config(parse_config_text(bundled_config_text(
+        "toy_geometry.cfg")))
+    scene = TargetScene((Target(120.0, 0.3, 1e-4 + 0j),
+                         Target(300.0, -0.4, 4e-5 + 0j)), 0.0)
+    sigma2 = noise_variance_for_snr(scene, cfg.radio, 15.0)
+    synthesize_csi(cfg.radio, TargetScene(scene.targets, sigma2), 5).to_binary(
+        path)
+    return cfg.radio
+
+
+def test_seeded_config_fuzz(tmp_path, capsys):
+    # Every float and integer key takes each of its edge values, alone and
+    # with a second key drawn at random and set to one of its edge values,
+    # under every command; then estimate reads corrupted CSI files. Each run
+    # exits 0, 2 or 3 before the alarm, and writes no NaN or infinity into
+    # JSON beyond the NaN fields sweep.json has by design.
+    rng = np.random.default_rng(20_221_022)
+    frame = tmp_path / "frame.csi"
+    radio = _toy_frame(frame)
+    out_dir = tmp_path / "out"
+    # Two sweep points of J = 2 trials.
+    base = bundled_config_text("toy_geometry.cfg") \
+        + "\nJ = 2\nrange_diff_stop = 1\nrange_diff_step = 1\nout_dir = %s\n" \
+        % out_dir
+
+    def edges(key):
+        return _FUZZ_INTS if type(_DEFAULTS[key]) is int else _FUZZ_FLOATS
+
+    failures = []
+    path = tmp_path / "fuzz.cfg"
+    for key in _FUZZ_KEYS:
+        for value in edges(key):
+            other = _FUZZ_KEYS[int(rng.integers(len(_FUZZ_KEYS)))]
+            other_value = edges(other)[int(rng.integers(len(edges(other))))]
+            for lines in ([f"{key} = {value!r}"],
+                          [f"{other} = {other_value!r}", f"{key} = {value!r}"]):
+                path.write_text(base + "\n".join(lines) + "\n")
+                for args in (["complexity"], ["calibrate", "--trials", "3"],
+                             ["sweep"], ["estimate", str(frame)]):
+                    args = args[:1] + ["--config", str(path), "--threads", "1"] \
+                        + args[1:]
+                    for problem in _fuzz_run(args, out_dir, capsys):
+                        failures.append(f"{args[0]} with {lines}: {problem}")
+    data = CsiMatrix.from_binary(frame, radio).data
+    raw = frame.read_bytes()
+    corrupted = {
+        "truncated": raw[:-7],
+        "bad header": raw[:4] + (99).to_bytes(4, "little") + raw[8:],
+        "NaN": raw[:24] + struct.pack("<dd", math.nan, 0.0) + raw[40:],
+        "+inf": raw[:24] + struct.pack("<dd", math.inf, 0.0) + raw[40:],
+        "-inf": raw[:24] + struct.pack("<dd", 0.0, -math.inf) + raw[40:],
+        "scaled by 1e300": raw[:8] + (data * 1e300).astype("<c16").tobytes(),
+        "all zero": raw[:8] + bytes(len(raw) - 8),
+    }
+    path.write_text(base)
+    for name, content in corrupted.items():
+        bad = tmp_path / "bad.csi"
+        bad.write_bytes(content)
+        args = ["estimate", str(bad), "--config", str(path)]
+        for problem in _fuzz_run(args, out_dir, capsys):
+            failures.append(f"estimate on a {name} CSI file: {problem}")
+    assert not failures, "\n".join(failures)

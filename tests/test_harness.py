@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import sys
 import time
 
 import numpy as np
@@ -142,6 +143,27 @@ class TestGenerateTrial:
         # runs here, so a missing check fails instead of hanging.
         with pytest.raises(ConfigError):
             spec_with(**{field: value})
+
+    @pytest.mark.parametrize("snr_db", [-300.0, 300.0])
+    @pytest.mark.parametrize("base_range_max_m, outward", [(1e-3, 0.0),
+                                                           (1e12, math.inf)])
+    def test_snr_and_base_range_limits(self, snr_db, base_range_max_m,
+                                       outward):
+        # snr_db = 1e300 used to overflow 10 ** (snr_db / 10) and
+        # base_range_max_m = 1e-300 the inverse-square coefficient, in the
+        # middle of a run. At the limits every noise variance is a normal
+        # float; one step past either limit the spec is rejected.
+        radio = small_radio(n=16, k=2)
+        spec = spec_with(snr_db=snr_db, base_range_max_m=base_range_max_m)
+        for t in range(20):
+            sigma2 = generate_trial(spec, radio, t, 0.5).noise_variance
+            assert sys.float_info.min < sigma2 < sys.float_info.max
+        with pytest.raises(ConfigError, match="snr_db"):
+            spec_with(snr_db=math.nextafter(snr_db, 2.0 * snr_db),
+                      base_range_max_m=base_range_max_m)
+        with pytest.raises(ConfigError, match="base_range_max_m"):
+            spec_with(snr_db=snr_db,
+                      base_range_max_m=math.nextafter(base_range_max_m, outward))
 
     def test_negative_seed_rejected(self):
         # numpy's SeedSequence raised ValueError on it in the middle of a run

@@ -406,6 +406,25 @@ class TestGridConfig:
         with pytest.raises(ConfigError, match="theta limit"):
             GridConfig(baseline_radio(), baseline_plan(), math.radians(deg))
 
+    def test_angle_axis_bounded_before_it_is_built(self):
+        # numpy's arange used to stop grid_geometry on d = 1e300 m with
+        # "Maximum allowed size exceeded", in the first trial of a run. At
+        # d = 1 km the baseline grid has about 98,000 angles, under the bound.
+        radio, plan = baseline_radio(), baseline_plan()
+        GridConfig(dataclasses.replace(radio, antenna_spacing_m=1e3), plan)
+        for spacing in (1e4, 1e300):
+            with pytest.raises(ConfigError, match="antenna spacing d"):
+                GridConfig(dataclasses.replace(radio, antenna_spacing_m=spacing),
+                           plan)
+
+    def test_overflowing_range_axis_rejected(self):
+        # c = 1e300 with delta_f = 1e-300 puts r_max at inf, and numpy's
+        # arange used to stop grid_geometry with "cannot compute length".
+        radio = dataclasses.replace(baseline_radio(), speed_of_light_m_s=1e300,
+                                    subcarrier_spacing_hz=1e-300)
+        with pytest.raises(ConfigError, match="unambiguous range"):
+            GridConfig(radio, baseline_plan(radio))
+
     @pytest.mark.parametrize("lim", [0.0, math.pi / 2])
     def test_theta_limit_bounds_accepted(self, lim):
         geometry = grid_geometry(GridConfig(baseline_radio(), baseline_plan(),
