@@ -24,8 +24,6 @@ from .music import GridConfig, decompose, flop_estimate, grid_geometry
 from .signal_model import CsiMatrix
 from .smoothing import covariance, make_plan, smooth
 
-logger = logging.getLogger(__name__)
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="run configuration file")

@@ -337,9 +337,10 @@ def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
     pinned = np.any((margin < 1e-6) & (hi > lo), axis=1)
     peaks = [(r, math.asin(s), d) for (r, s), d in
              zip(refined[~pinned].tolist(), den[~pinned].tolist())]
+    # A grid with one angle column holds the sine axis, so its peaks share
+    # one azimuth and merge on range alone.
     radius_r = _MERGE_RADIUS_CELLS * float(cell[0])
-    radius_theta = _MERGE_RADIUS_CELLS * float(cell[1]) \
-        if geometry.angles_rad.size > 1 else math.inf
+    radius_theta = _MERGE_RADIUS_CELLS * float(cell[1])
     return [(r, th, evaluator.value(r, th))
             for r, th, _ in _merge_peaks(peaks, radius_r, radius_theta)]
 
@@ -363,7 +364,8 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
     A signal basis with no columns left gives an exactly flat spectrum,
     which admits no peaks. The iteration loop therefore ends, without
     gridding or searching that spectrum, once no signal columns are left:
-    at once on an order-zero estimate, else once cancelations empty it. A
+    at once on an order-zero estimate, else once cancelations empty it. It
+    also ends after an iteration that cancels nothing, survivors or not. A
     survivor met after that point in the same iteration cannot be canceled
     and marks the report ``saturated``. The ``off`` routine reports the
     survivors of iteration 0 in merge order and cancels none.
@@ -392,8 +394,6 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
         if det_config.routine is Routine.OFF:
             detections = [Detection(r, th, val, iteration)
                           for r, th, val in survivors]
-            break
-        if not survivors:
             break
         appended = 0
         for r, th, val in sorted(survivors, key=lambda p: -p[2]):

@@ -228,7 +228,8 @@ def assign_and_score(truth, report: DetectionReport,
     detection's main lobe. With no detections target 1 takes the plain grid
     maximum and target 2 the strongest sample outside its main lobe.
 
-    Angle errors are NaN when ``score_angle`` is false (range-only plans).
+    Angle errors are NaN when ``score_angle`` is false (a grid with one
+    angle column, on which no azimuth is estimated).
     """
     (r1, th1), (r2, th2) = truth
     if r1 > r2:
@@ -257,7 +258,8 @@ def assign_and_score(truth, report: DetectionReport,
 
 def trimmed_rmse(errors) -> float:
     """RMSE after dropping the floor(0.01 * n) largest and smallest absolute
-    errors (none below 100 samples: the plain RMSE)."""
+    errors (none below 100 samples: the plain RMSE). NaN errors, azimuths
+    that were not estimated, give NaN."""
     a = np.sort(np.abs(np.asarray(errors, dtype=float)))
     n = a.size
     if n < 1:
@@ -276,11 +278,13 @@ def run_trial(radio: RadioConfig, plan: SubarrayPlan, det_config: DetectorConfig
     csi = synthesize_csi(radio, scene, noise_seed)
     subs = decompose(covariance(smooth(csi, plan)))
     grid_config = GridConfig(radio, plan, theta_lim_rad)
-    report = detect(subs, grid_geometry(grid_config).params, grid_config,
-                    det_config)
+    geometry = grid_geometry(grid_config)
+    report = detect(subs, geometry.params, grid_config, det_config)
     ctx = ScoringContext(subs, grid_config)
     truth = tuple((t.range_m, t.azimuth_rad) for t in scene.targets)
-    return assign_and_score(truth, report, ctx, score_angle=plan.n_sub_a > 1)
+    # With one angle column the sine axis is held: no azimuth is estimated.
+    return assign_and_score(truth, report, ctx,
+                            score_angle=geometry.angles_rad.size > 1)
 
 
 def _openblas_function(name: str):
@@ -356,7 +360,8 @@ def run_sweep(spec: ScenarioSpec, radio: RadioConfig, plan: SubarrayPlan,
     Trials get independent sub-seeds, so the summary is bit-identical for any
     worker count; aggregation always runs in trial order. All sweep points
     share one process pool, of at most one worker per trial. Free-placement
-    scenarios collapse to a single sweep point with a NaN x value.
+    scenarios collapse to a single sweep point with a NaN x value. On a grid
+    with one angle column every azimuth error is NaN, and so is their RMSE.
     """
     grid = GridConfig(radio, plan, theta_lim_rad)
     x_values = (math.nan,) if spec.free_placement else spec.range_diffs_m
@@ -373,12 +378,9 @@ def run_sweep(spec: ScenarioSpec, radio: RadioConfig, plan: SubarrayPlan,
             range_errors = [errs[q][0] for errs, _ in results
                             for q in range(n_targets)]
             rmse_r.append(trimmed_rmse(range_errors))
-            if plan.n_sub_a > 1:
-                angle_errors = [math.degrees(errs[q][1])
-                                for errs, _ in results for q in range(n_targets)]
-                rmse_th.append(trimmed_rmse(angle_errors))
-            else:
-                rmse_th.append(math.nan)
+            angle_errors = [math.degrees(errs[q][1])
+                            for errs, _ in results for q in range(n_targets)]
+            rmse_th.append(trimmed_rmse(angle_errors))
             logger.info("sweep point %s/%s (x=%s): p_missed=%.4f rmse_r=%.4f",
                         sweep_index + 1, len(x_values), x, p_missed[-1], rmse_r[-1])
     return SweepSummary(x_axis=tuple(float(x) for x in x_values),
@@ -393,7 +395,7 @@ def _calibration_pivot(grid: GridConfig, det_config: DetectorConfig,
     scene = TargetScene(targets=(), noise_variance=1.0)
     csi = synthesize_csi(grid.radio, scene, seed)
     subs = decompose(covariance(smooth(csi, grid.plan)))
-    if subs.order_estimate == 0:
+    if subs.signal_basis.shape[1] == 0:
         return 0.0   # flat spectrum: the detector cannot alarm on this trial
     spectrum = coarse_grid(subs, grid)
     peaks = refine_candidates(subs, grid, spectrum, det_config.n_seeds)
@@ -427,12 +429,18 @@ def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
 
 
 def write_sweep_outputs(summary: SweepSummary, out_dir, metadata: dict) -> tuple:
-    """Write sweep.csv plus a sweep.json sidecar; returns both paths."""
+    """Write sweep.csv plus a sweep.json sidecar; returns both paths.
+
+    sweep.json is strict JSON: a summary value that is not finite, which
+    sweep.csv writes as ``nan`` or ``inf``, is ``null`` there.
+    """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
     json_path = os.path.join(out_dir, "sweep.json")
     summary.to_csv(csv_path)
-    doc = dict(metadata, summary=asdict(summary))
+    fields = {key: [x if math.isfinite(x) else None for x in value]
+              if isinstance(value, tuple) else value
+              for key, value in asdict(summary).items()}
     with open(json_path, "w") as f:
-        json.dump(doc, f, indent=2, allow_nan=True)
+        json.dump(dict(metadata, summary=fields), f, indent=2, allow_nan=False)
     return csv_path, json_path

@@ -27,8 +27,9 @@ from .smoothing import SampleCovariance, SubarrayPlan
 MUSIC_VALUE_CLAMP = 1e18
 
 DEFAULT_THETA_LIM_RAD = math.radians(60.0)
-# Most angles one coarse grid may have; the baseline grid has 5.
-MAX_GRID_ANGLES = 100_000
+# Most entries of the largest matrix the estimator forms, 2 GiB of complex128;
+# the baseline's largest is 45 x 200.
+MAX_MATRIX_ENTRIES = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -263,22 +264,28 @@ class GridConfig:
         if not 0.0 <= self.theta_lim_rad <= math.pi / 2:
             raise ConfigError(
                 f"theta limit must lie in [0, pi/2] rad, got {self.theta_lim_rad}")
-        # The axes' point counts in grid_geometry, checked before numpy sizes
-        # an array by them. The range axis has 2 A_f / D_f points unless r_max
-        # overflows; the angle step is half of lambda / extent.
         radio, plan = self.radio, self.plan
         r_max = unambiguous_range(radio, plan)
         if not r_max < math.inf:
             raise ConfigError(
                 f"the unambiguous range c / (2 D_f delta_f) overflows to {r_max}")
+        # The largest matrix is M x max(M, L, G): the covariance, the smoothed
+        # CSI or the G grid steering vectors. The axes are counted as the
+        # aranges of grid_geometry will size them, before numpy allocates: the
+        # range axis has 2 A_f / D_f points, the angle step is half of
+        # lambda / extent. np.ceil keeps an infinite count; math.ceil raises.
+        m, n_snapshots = plan.samples_per_subarray, plan.n_subarrays
+        n_ranges = math.ceil(2 * plan.aperture_f / plan.decim_f)
         waves = (plan.n_sub_a - 1) * plan.decim_a * radio.antenna_spacing_m \
             / radio.wavelength_m
-        angles = (2.0 * self.theta_lim_rad + 1e-12) * 2.0 * waves
-        if not angles <= MAX_GRID_ANGLES:
+        n_angles = max(1.0, np.ceil((2.0 * self.theta_lim_rad + 1e-12) * 2.0 * waves))
+        entries = m * max(m, n_snapshots, n_ranges * n_angles)
+        if not entries <= MAX_MATRIX_ENTRIES:
             raise ConfigError(
-                f"antenna spacing d = {radio.antenna_spacing_m:g} m spans the "
-                f"sub-array over {waves:.3g} wavelengths, for {angles:.3g} grid "
-                f"angles; at most {MAX_GRID_ANGLES} are allowed")
+                f"M = {m} sub-array samples, L = {n_snapshots} sub-arrays and a "
+                f"grid of {n_ranges} ranges x {n_angles:.6g} angles (antenna "
+                f"spacing d = {radio.antenna_spacing_m:g} m) need a matrix of "
+                f"{entries:.3g} entries; at most {MAX_MATRIX_ENTRIES} are allowed")
 
 
 @dataclass(frozen=True)
@@ -327,8 +334,7 @@ def grid_geometry(grid_config: GridConfig) -> GridGeometry:
     lo = np.array([0.0, s_lo])
     hi = np.array([params.r_max_m * (1.0 - 1e-12), s_hi])
     cell = np.array([r_step, th_step])
-    i = np.repeat(np.arange(plan.n_sub_f), plan.n_sub_a)
-    j = np.tile(np.arange(plan.n_sub_a), plan.n_sub_f)
+    i, j = plan.element_slots
     a = params.phi_f * (2.0 / radio.speed_of_light_m_s) * i
     b = params.phi_a * j
     moments = np.stack([np.ones_like(a), a, b, a * a, a * b, b * b])

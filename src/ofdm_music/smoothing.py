@@ -8,7 +8,9 @@ covariance snapshots.
 
 Index conventions (0-based):
   * within a sampled vector the antenna index varies fastest: element m has
-    antenna offset (m mod n_sub_a) and subcarrier slot (m div n_sub_a);
+    subcarrier slot (m div n_sub_a) and antenna slot (m mod n_sub_a).
+    :attr:`SubarrayPlan.element_slots` is the one statement of this order;
+    the gather in ``smooth`` and the steering phase ramps both read it;
   * sub-array ordinal ell maps to offsets
         antenna offset   = (ell mod n_sets_a) * stride_a
         subcarrier offset = (ell div n_sets_a) * stride_f
@@ -32,7 +34,8 @@ class SubarrayPlan:
     """Sub-array geometry; the sample and sub-array counts derive from it.
 
     ``n_subcarriers``/``n_antennas`` record the CSI dimensions the plan was
-    built against.
+    built against. ``element_slots`` is the one statement of the element
+    order of a sampled vector: ``smooth`` and the steering ramps read it.
     """
 
     aperture_f: int
@@ -56,9 +59,6 @@ class SubarrayPlan:
                           ("S_f", self.stride_f), ("S_a", self.stride_a)):
             if val < 1:
                 raise ConfigError(f"{name} must be >= 1, got {val}")
-        # Largest sampled index must stay inside the matrix in both dimensions.
-        assert self.max_antenna_index() <= k - 1
-        assert self.max_subcarrier_index() <= n - 1
 
     @property
     def n_sub_f(self) -> int:
@@ -84,11 +84,11 @@ class SubarrayPlan:
     def n_subarrays(self) -> int:
         return self.n_sets_f * self.n_sets_a
 
-    def max_antenna_index(self) -> int:
-        return (self.n_sets_a - 1) * self.stride_a + (self.n_sub_a - 1) * self.decim_a
-
-    def max_subcarrier_index(self) -> int:
-        return (self.n_sets_f - 1) * self.stride_f + (self.n_sub_f - 1) * self.decim_f
+    @property
+    def element_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(subcarrier slot, antenna slot) of each of the M elements of a
+        sampled vector, the antenna slot varying fastest."""
+        return np.divmod(np.arange(self.samples_per_subarray), self.n_sub_a)
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,8 @@ def _gather_index(plan: SubarrayPlan) -> np.ndarray:
     ells = np.arange(plan.n_subarrays)
     offsets = (ells % plan.n_sets_a) * (plan.stride_a * n) \
         + (ells // plan.n_sets_a) * plan.stride_f
-    ant_run = np.arange(plan.n_sub_a) * (plan.decim_a * n)
-    sub_run = np.arange(plan.n_sub_f) * plan.decim_f
-    element = (sub_run[:, np.newaxis] + ant_run[np.newaxis, :]).ravel()
+    i, j = plan.element_slots
+    element = i * plan.decim_f + j * (plan.decim_a * n)
     flat = element[:, np.newaxis] + offsets[np.newaxis, :]   # (M, L)
     flat.flags.writeable = False
     return flat

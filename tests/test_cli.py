@@ -21,6 +21,14 @@ from ofdm_music.errors import ConfigError
 from ofdm_music.presets import baseline_plan, baseline_radio
 
 
+def _strict_json(text):
+    """``json.loads`` that rejects NaN, Infinity and -Infinity, the tokens
+    RFC 8259 does not have."""
+    def reject(token):
+        raise ValueError(f"non-standard constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def baseline_cfg(tmp_path):
     path = tmp_path / "run.cfg"
@@ -283,6 +291,20 @@ class TestSweepCommand:
         assert doc["config"]["seed"] == 99
         assert doc["version"].startswith("ofdm-music/")
 
+    @pytest.mark.parametrize("line, field", [("A_a = 1", "rmse_azimuth_deg"),
+                                             ("free_placement = true", "x_axis")])
+    def test_sidecar_is_strict_json(self, tmp_path, line, field):
+        # A range-only plan has no azimuth RMSE and free placement no x value.
+        # sweep.csv writes nan there; sweep.json used to write a bare NaN,
+        # which RFC 8259 parsers reject, and now writes null.
+        cfg = self.sweep_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + line + "\n")
+        assert main(["sweep", "--config", str(cfg), "--threads", "1"]) == 0
+        doc = _strict_json((tmp_path / "out" / "sweep.json").read_text())
+        assert doc["summary"][field] and \
+            all(value is None for value in doc["summary"][field])
+        assert "nan" in (tmp_path / "out" / "sweep.csv").read_text()
+
     def test_default_workers_follow_cpu_affinity(self, tmp_path, monkeypatch):
         # Pinned to one CPU, a run without --threads starts one worker, not
         # one per CPU of the machine.
@@ -426,6 +448,24 @@ def test_unbounded_sweep_exit_2(tmp_path, capsys, command, line):
     assert not (tmp_path / "out").exists()
 
 
+def test_oversized_matrices_exit_2(tmp_path, capsys):
+    # K = A_a = 4096 on the toy geometry passes every per-key check, but gives
+    # M = 6,144 samples and a 5 x 8,575 grid: a 6,144 x 42,875 complex
+    # steering matrix, 3.9 GiB. The size is checked before any of it is
+    # allocated. The D_f = 1 comparator of the complexity table stays inside.
+    build_run_config(parse_config_text("c = 3e8\nD_f = 1\n"))
+    text = bundled_config_text("toy_geometry.cfg") \
+        + "\nK = 4096\nA_a = 4096\nout_dir = %s\n" % (tmp_path / "out")
+    with pytest.raises(ConfigError, match="M = 6144"):
+        build_run_config(parse_config_text(text))
+    path = tmp_path / "big.cfg"
+    path.write_text(text)
+    assert main(["complexity", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "antenna spacing d" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "calibrate"])
 @pytest.mark.parametrize("by_flag", [False, True])
 def test_negative_seed_exit_2(baseline_cfg, tmp_path, capsys, command, by_flag):
@@ -478,29 +518,6 @@ _FUZZ_KEYS = [key for key, value in _DEFAULTS.items()
 _FUZZ_SECONDS = 10
 
 
-def _non_finite_fields(doc, path=""):
-    """Dotted paths (list indices left out) of the NaN and infinite numbers
-    in a parsed JSON document."""
-    if isinstance(doc, dict):
-        return {p for key, value in doc.items()
-                for p in _non_finite_fields(value, f"{path}.{key}".lstrip("."))}
-    if isinstance(doc, list):
-        return {p for value in doc for p in _non_finite_fields(value, path)}
-    if isinstance(doc, float) and not math.isfinite(doc):
-        return {path}
-    return set()
-
-
-def _documented_nan_fields(doc):
-    """The NaN fields ``sweep.json`` has by design: the azimuth RMSE of a
-    plan with one angle column, and the x value of free placement."""
-    if "summary" not in doc:
-        return set()
-    cfg = build_run_config(doc["config"])
-    return ({"summary.rmse_azimuth_deg"} if cfg.plan.n_sub_a == 1 else set()) \
-        | ({"summary.x_axis"} if cfg.scenario.free_placement else set())
-
-
 def _fuzz_run(args, out_dir, capsys):
     """Run ``main(args)`` under a wall-time alarm; returns the problems seen."""
     def expire(signum, frame):
@@ -522,10 +539,10 @@ def _fuzz_run(args, out_dir, capsys):
         else []
     texts += [path.read_text() for path in sorted(out_dir.glob("*.json"))]
     for text in texts:
-        doc = json.loads(text)
-        bad = _non_finite_fields(doc) - _documented_nan_fields(doc)
-        if bad:
-            problems.append(f"non-finite JSON in {sorted(bad)}")
+        try:
+            _strict_json(text)
+        except ValueError as exc:
+            problems.append(f"not strict JSON: {exc}")
     return problems
 
 
@@ -545,8 +562,8 @@ def test_seeded_config_fuzz(tmp_path, capsys):
     # Every float and integer key takes each of its edge values, alone and
     # with a second key drawn at random and set to one of its edge values,
     # under every command; then estimate reads corrupted CSI files. Each run
-    # exits 0, 2 or 3 before the alarm, and writes no NaN or infinity into
-    # JSON beyond the NaN fields sweep.json has by design.
+    # exits 0, 2 or 3 before the alarm, and every JSON it prints or writes is
+    # strict: no NaN or infinity.
     rng = np.random.default_rng(20_221_022)
     frame = tmp_path / "frame.csi"
     radio = _toy_frame(frame)

@@ -546,6 +546,21 @@ class TestRunSweep:
         assert math.isnan(summary.rmse_azimuth_deg[0])
         assert summary.rmse_range_m[0] >= 0
 
+    def test_one_angle_column_nan_azimuth(self):
+        # A theta limit under half an angle step leaves the baseline grid one
+        # column, at -10 deg, so no azimuth is estimated: the RMSE is NaN,
+        # where it used to be read off that column.
+        radio = baseline_radio()
+        plan = baseline_plan(radio)
+        lim = math.radians(10.0)
+        assert grid_geometry(GridConfig(radio, plan, lim)).angles_rad.size == 1
+        spec = ScenarioSpec(n_trials=3, snr_db=20.0, range_diffs_m=(2.0,),
+                            rng_seed=5, base_range_max_m=22.0)
+        summary = run_sweep(spec, radio, plan, DetectorConfig(),
+                            theta_lim_rad=lim)
+        assert math.isnan(summary.rmse_azimuth_deg[0])
+        assert summary.rmse_range_m[0] >= 0
+
     def test_missed_detection_drops_with_separation(self):
         # routine multiple at 15 dB: well-separated targets (5 m) are missed
         # no more often than barely-separated ones (0.5 m)
@@ -662,6 +677,16 @@ class TestRunTrial:
         scene = TargetScene((Target(5.0, 0.1, 1 + 0j),), 0.1)
         with pytest.raises(ConfigError):
             run_trial(radio, plan, DetectorConfig(), scene, 0)
+
+    def test_one_angle_column_scores_no_azimuth(self):
+        radio = baseline_radio()
+        plan = baseline_plan(radio)
+        targets = (Target(6.0, math.radians(-20), 0.028 + 0j),
+                   Target(15.0, math.radians(25), 0.0044 + 0j))
+        sigma2 = noise_variance_for_snr(TargetScene(targets, 0.0), radio, 25.0)
+        result = run_trial(radio, plan, DetectorConfig(),
+                           TargetScene(targets, sigma2), 8, math.radians(10.0))
+        assert all(math.isnan(err[1]) for err in result.assigned_errors)
 
     def test_clean_scene_scores_zero_errors(self):
         radio = baseline_radio()

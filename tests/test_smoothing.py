@@ -38,6 +38,18 @@ class TestMakePlan:
         assert (plan.n_sub_f, plan.n_sub_a) == (3, 3)
         assert plan.samples_per_subarray == 9
 
+    def test_element_slots_antenna_fastest(self):
+        # Element m has subcarrier slot m div n_sub_a and antenna slot
+        # m mod n_sub_a, the order the module docstring states.
+        toy = make_plan(small_radio(n=16, k=5), 7, 5, 3, 2, 1, 1)
+        i, j = toy.element_slots
+        assert i.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        assert j.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2]
+        one_antenna = make_plan(small_radio(n=16, k=5), 7, 1, 3, 1, 1, 1)
+        i, j = one_antenna.element_slots
+        assert i.tolist() == [0, 1, 2]
+        assert j.tolist() == [0, 0, 0]
+
     def test_aperture_exceeding_dimension(self):
         cfg = small_radio(n=16, k=3)
         with pytest.raises(ConfigError, match="A_f"):
