@@ -266,7 +266,13 @@ def trimmed_rmse(errors) -> float:
         raise DomainError("RMSE of no samples")
     k = int(math.floor(0.01 * n))
     kept = a[k:n - k] if k > 0 else a
-    return float(np.sqrt(np.mean(kept ** 2)))
+    with np.errstate(over="ignore"):
+        rmse = float(np.sqrt(np.mean(kept ** 2)))
+    if math.isinf(rmse) and math.isfinite(kept[-1]):
+        # The squares overflowed; the RMSE is at most the largest error, so
+        # it is finite once the errors are scaled by that error.
+        rmse = float(kept[-1] * np.sqrt(np.mean((kept / kept[-1]) ** 2)))
+    return rmse
 
 
 def run_trial(radio: RadioConfig, plan: SubarrayPlan, det_config: DetectorConfig,
@@ -431,16 +437,18 @@ def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
 def write_sweep_outputs(summary: SweepSummary, out_dir, metadata: dict) -> tuple:
     """Write sweep.csv plus a sweep.json sidecar; returns both paths.
 
-    sweep.json is strict JSON: a summary value that is not finite, which
-    sweep.csv writes as ``nan`` or ``inf``, is ``null`` there.
+    sweep.json is strict JSON. The two NaN values a summary has by design,
+    the x value of free placement and the azimuth RMSE of a grid with one
+    angle column, which sweep.csv writes as ``nan``, are ``null`` there; any
+    other value that is not finite raises ``ValueError``.
     """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
     json_path = os.path.join(out_dir, "sweep.json")
     summary.to_csv(csv_path)
-    fields = {key: [x if math.isfinite(x) else None for x in value]
-              if isinstance(value, tuple) else value
-              for key, value in asdict(summary).items()}
+    fields = asdict(summary)
+    for key in ("x_axis", "rmse_azimuth_deg"):
+        fields[key] = [None if math.isnan(x) else x for x in fields[key]]
     with open(json_path, "w") as f:
         json.dump(dict(metadata, summary=fields), f, indent=2, allow_nan=False)
     return csv_path, json_path

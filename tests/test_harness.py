@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import sys
@@ -473,6 +474,13 @@ class TestTrimmedRmse:
         with pytest.raises(DomainError):
             trimmed_rmse([])
 
+    def test_huge_errors_stay_finite(self):
+        # The squares of 1e300 overflow; the RMSE is at most the largest
+        # error, so it is finite.
+        assert trimmed_rmse([1e300, -1e300]) == 1e300
+        assert trimmed_rmse([3e300, 4e300]) == pytest.approx(
+            5e300 / math.sqrt(2), rel=1e-15)
+
 
 class TestRunSweep:
     def test_smoke_one_row_per_point(self):
@@ -546,21 +554,6 @@ class TestRunSweep:
         assert math.isnan(summary.rmse_azimuth_deg[0])
         assert summary.rmse_range_m[0] >= 0
 
-    def test_one_angle_column_nan_azimuth(self):
-        # A theta limit under half an angle step leaves the baseline grid one
-        # column, at -10 deg, so no azimuth is estimated: the RMSE is NaN,
-        # where it used to be read off that column.
-        radio = baseline_radio()
-        plan = baseline_plan(radio)
-        lim = math.radians(10.0)
-        assert grid_geometry(GridConfig(radio, plan, lim)).angles_rad.size == 1
-        spec = ScenarioSpec(n_trials=3, snr_db=20.0, range_diffs_m=(2.0,),
-                            rng_seed=5, base_range_max_m=22.0)
-        summary = run_sweep(spec, radio, plan, DetectorConfig(),
-                            theta_lim_rad=lim)
-        assert math.isnan(summary.rmse_azimuth_deg[0])
-        assert summary.rmse_range_m[0] >= 0
-
     def test_missed_detection_drops_with_separation(self):
         # routine multiple at 15 dB: well-separated targets (5 m) are missed
         # no more often than barely-separated ones (0.5 m)
@@ -586,6 +579,23 @@ class TestRunSweep:
         doc = json_mod.loads(open(json_path).read())
         assert doc["seed"] == 6
         assert doc["summary"]["n_trials"] == 2
+
+    def test_sidecar_nulls_only_the_nan_by_design(self, tmp_path):
+        # Free placement has a NaN x value and a one-column grid a NaN
+        # azimuth RMSE: null in sweep.json. A non-finite value anywhere else
+        # is a fault, and is not written as if it were not estimated.
+        summary = harness.SweepSummary(
+            x_axis=(math.nan,), p_missed=(0.5,), rmse_range_m=(1.0,),
+            rmse_azimuth_deg=(math.nan,), n_trials=2)
+        _, json_path = write_sweep_outputs(summary, tmp_path, {})
+        doc = json.loads(open(json_path).read())
+        assert doc["summary"]["x_axis"] == [None]
+        assert doc["summary"]["rmse_azimuth_deg"] == [None]
+        for field, bad in (("p_missed", math.nan), ("rmse_range_m", math.inf),
+                           ("rmse_azimuth_deg", math.inf)):
+            with pytest.raises(ValueError):
+                write_sweep_outputs(dataclasses.replace(summary, **{field: (bad,)}),
+                                    tmp_path / field, {})
 
 
 def blas_threads_in_worker(_trial):
