@@ -135,12 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = logging.WARNING
-    if args.verbose == 1:
-        level = logging.INFO
-    elif args.verbose >= 2:
-        level = logging.DEBUG
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # Nothing logs below INFO, so -vv means -v.
+    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         with open(args.config) as f:
             values = parse_config_text(f.read())
@@ -158,9 +155,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, n_workers)
         if args.command == "calibrate":
             return cmd_calibrate(cfg, n_workers, args.trials)
-        if args.command == "complexity":
-            return cmd_complexity(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return cmd_complexity(cfg)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -329,7 +329,7 @@ def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
     lo, hi, cell = geometry.lo, geometry.hi, geometry.cell
     evaluator = SpectrumEvaluator(subspaces, geometry)
     flat = grid.values.ravel()
-    order = np.argsort(-flat, kind="stable")[:min(n_seeds, flat.size)]
+    order = np.argsort(-flat, kind="stable")[:n_seeds]
     rows, cols = np.divmod(order, grid.angles_rad.size)
     seeds = np.column_stack([grid.ranges_m[rows], np.sin(grid.angles_rad[cols])])
     refined, den = _ascend(evaluator, seeds, cell, lo, hi)
@@ -407,7 +407,7 @@ def detect(subspaces: Subspaces, params: SteeringParams, grid_config: GridConfig
                 continue   # converged onto an already-canceled peak; drop it
             detections.append(det)
             appended += 1
-        if saturated or appended == 0:
+        if appended == 0:
             break
     return DetectionReport(detections=tuple(detections), threshold_used=gamma,
                            routine=det_config.routine, spectra_computed=spectra,

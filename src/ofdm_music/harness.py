@@ -242,14 +242,11 @@ def assign_and_score(truth, report: DetectionReport,
         near, far = sorted(strongest, key=lambda d: d.range_m)
         est1, est2 = (near.range_m, near.azimuth_rad), (far.range_m, far.azimuth_rad)
         missed = (False, False)
-    elif len(dets) == 1:
-        est1 = (dets[0].range_m, dets[0].azimuth_rad)
-        est2 = context.residual_argmax([est1])
-        missed = (False, True)
     else:
-        est1 = context.grid_argmax()
+        est1 = (dets[0].range_m, dets[0].azimuth_rad) if dets \
+            else context.grid_argmax()
         est2 = context.residual_argmax([est1])
-        missed = (True, True)
+        missed = (not dets, True)
     err1 = (est1[0] - r1, est1[1] - th1 if score_angle else math.nan)
     err2 = (est2[0] - r2, est2[1] - th2 if score_angle else math.nan)
     return TrialResult(truth=((r1, th1), (r2, th2)), report=report,
@@ -265,7 +262,7 @@ def trimmed_rmse(errors) -> float:
     if n < 1:
         raise DomainError("RMSE of no samples")
     k = int(math.floor(0.01 * n))
-    kept = a[k:n - k] if k > 0 else a
+    kept = a[k:n - k]
     with np.errstate(over="ignore"):
         rmse = float(np.sqrt(np.mean(kept ** 2)))
     if math.isinf(rmse) and math.isfinite(kept[-1]):

@@ -270,15 +270,9 @@ class GridConfig:
             raise ConfigError(
                 f"the unambiguous range c / (2 D_f delta_f) overflows to {r_max}")
         # The largest matrix is M x max(M, L, G): the covariance, the smoothed
-        # CSI or the G grid steering vectors. The axes are counted as the
-        # aranges of grid_geometry will size them, before numpy allocates: the
-        # range axis has 2 A_f / D_f points, the angle step is half of
-        # lambda / extent. np.ceil keeps an infinite count; math.ceil raises.
+        # CSI or the G grid steering vectors, counted before numpy allocates.
         m, n_snapshots = plan.samples_per_subarray, plan.n_subarrays
-        n_ranges = math.ceil(2 * plan.aperture_f / plan.decim_f)
-        waves = (plan.n_sub_a - 1) * plan.decim_a * radio.antenna_spacing_m \
-            / radio.wavelength_m
-        n_angles = max(1.0, np.ceil((2.0 * self.theta_lim_rad + 1e-12) * 2.0 * waves))
+        n_ranges, n_angles = _grid_shape(self)
         entries = m * max(m, n_snapshots, n_ranges * n_angles)
         if not entries <= MAX_MATRIX_ENTRIES:
             raise ConfigError(
@@ -286,6 +280,19 @@ class GridConfig:
                 f"grid of {n_ranges} ranges x {n_angles:.6g} angles (antenna "
                 f"spacing d = {radio.antenna_spacing_m:g} m) need a matrix of "
                 f"{entries:.3g} entries; at most {MAX_MATRIX_ENTRIES} are allowed")
+
+
+def _grid_shape(grid_config: GridConfig) -> tuple[int, float]:
+    """The coarse grid's (range count, angle count), the one statement of its
+    shape. Half-cell steps: ceil(2 A_f / D_f) ranges in [0, r_max), and
+    angles lambda / extent / 2 apart from -lim up to lim (with 1e-12 rad of
+    slack). The angle count is a float, so an overflow reads inf; a
+    single-antenna sub-array has extent 0, so one angle."""
+    radio, plan = grid_config.radio, grid_config.plan
+    waves = (plan.n_sub_a - 1) * plan.decim_a * radio.antenna_spacing_m \
+        / radio.wavelength_m
+    return -(-2 * plan.aperture_f // plan.decim_f), \
+        np.floor((2.0 * grid_config.theta_lim_rad + 1e-12) * 2.0 * waves) + 1.0
 
 
 @dataclass(frozen=True)
@@ -310,25 +317,25 @@ class GridGeometry:
 def grid_geometry(grid_config: GridConfig) -> GridGeometry:
     """The geometry of ``grid_config``, built once and shared by every caller.
 
-    The axes step by half a resolution cell over [0, r_max) x [-lim, lim].
-    Single-antenna sub-arrays get the one angle 0, which pins the search box.
+    The axes step by half a resolution cell over [0, r_max) x [-lim, lim],
+    with the counts of ``_grid_shape``. A grid with one angle, -lim or, for
+    single-antenna sub-arrays, 0, pins the sine axis of the search box.
     """
     radio, plan = grid_config.radio, grid_config.plan
     theta_lim = grid_config.theta_lim_rad
     params = steering_params(radio, plan)
     r_step = range_resolution(radio, plan) / 2.0
-    ranges = np.arange(0.0, params.r_max_m, r_step)
-    if plan.n_sub_a > 1:
+    n_ranges, n_angles = _grid_shape(grid_config)
+    ranges = r_step * np.arange(n_ranges)
+    if n_angles > 1:
         extent = (plan.n_sub_a - 1) * plan.decim_a * radio.antenna_spacing_m
-        angles = np.arange(-theta_lim, theta_lim + 1e-12,
-                           radio.wavelength_m / extent / 2.0)
-        angles = angles[angles <= theta_lim + 1e-12]
-    else:
-        angles = np.array([0.0])
-    if angles.size > 1:
+        # Rounded as np.arange(-lim, ...) rounds its step, the axis that the
+        # golden outputs were made with, so the angles keep their bits.
+        th_step = (-theta_lim + radio.wavelength_m / extent / 2.0) + theta_lim
+        angles = -theta_lim + th_step * np.arange(int(n_angles))
         s_lo, s_hi = -math.sin(theta_lim), math.sin(theta_lim)
-        th_step = float(angles[1] - angles[0])
     else:
+        angles = np.array([-theta_lim if plan.n_sub_a > 1 else 0.0])
         s_lo = s_hi = np.sin(angles[0])
         th_step = 1.0
     lo = np.array([0.0, s_lo])

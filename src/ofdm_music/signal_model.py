@@ -45,6 +45,9 @@ class RadioConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(
                     f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 < self.wavelength_m < math.inf:
+            raise ConfigError(f"the wavelength c / f_c must be positive and "
+                              f"finite, got {self.wavelength_m}")
 
     @property
     def wavelength_m(self) -> float:

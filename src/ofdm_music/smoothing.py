@@ -133,9 +133,14 @@ def _gather_index(plan: SubarrayPlan) -> np.ndarray:
 
 
 def covariance(smoothed: np.ndarray) -> SampleCovariance:
-    """(1/M) * C~ C~^H of the M x L smoothed CSI matrix C~, exactly Hermitian."""
+    """(1/M) * C~ C~^H of the M x L smoothed CSI matrix C~, exactly Hermitian.
+
+    Finite CSI large enough to overflow gives a non-finite matrix without a
+    warning; ``music.decompose`` rejects it.
+    """
     m, n_snapshots = smoothed.shape
-    r = smoothed @ smoothed.conj().T / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = smoothed @ smoothed.conj().T / m
     r = (r + r.conj().T) / 2.0
     return SampleCovariance(matrix=r, n_snapshots=n_snapshots)
 

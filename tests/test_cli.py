@@ -57,6 +57,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unparseable"):
             parse_config_text("N = twelve\n")
 
+    @pytest.mark.parametrize("raw, value", [
+        ("true", True), ("Yes", True), ("1", True),
+        ("false", False), ("no", False), ("0", False),
+    ])
+    def test_bool_values(self, raw, value):
+        assert parse_config_text(f"free_placement = {raw}\n")["free_placement"] \
+            is value
+
+    @pytest.mark.parametrize("line, match", [
+        ("free_placement = maybe", "unparseable value 'maybe'"),
+        ("N 256", "expected 'key = value'"),
+    ])
+    def test_malformed_line_rejected(self, line, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(f"# header\n{line}\n")
+
     def test_comments_and_blanks_ignored(self):
         values = parse_config_text("# comment\n\nN = 256  # inline\n")
         assert values["N"] == 256
@@ -304,6 +320,24 @@ class TestSweepCommand:
         assert doc["summary"][field] and \
             all(value is None for value in doc["summary"][field])
         assert "nan" in (tmp_path / "out" / "sweep.csv").read_text()
+
+    @pytest.mark.parametrize("flags, logged", [((), False), (("-v",), True),
+                                               (("-vv",), True)])
+    def test_verbose_logs_sweep_points(self, tmp_path, flags, logged):
+        # In a fresh process, since logging.basicConfig configures the root
+        # logger once per process.
+        src = os.path.dirname(os.path.dirname(ofdm_music.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ofdm_music.cli", "sweep", "--config",
+             str(self.sweep_cfg(tmp_path)), "--threads", "1", *flags],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        points = [line for line in proc.stderr.splitlines()
+                  if "sweep point" in line]
+        assert len(points) == (3 if logged else 0)
+        assert all(line.startswith("INFO ofdm_music.harness: sweep point ")
+                   for line in points)
 
     def test_default_workers_follow_cpu_affinity(self, tmp_path, monkeypatch):
         # Pinned to one CPU, a run without --threads starts one worker, not

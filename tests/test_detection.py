@@ -68,6 +68,12 @@ class TestCfarThreshold:
         grid = rng.exponential(size=(29, 5))
         assert empirical_quantile(grid, 0.99) == float(np.quantile(grid, 0.99))
 
+    def test_empty_grid_rejected(self):
+        grid = SpectrumGrid(ranges_m=np.arange(0.0), angles_rad=np.arange(3.0),
+                            values=np.zeros((0, 3)))
+        with pytest.raises(ConfigError, match="empty grid"):
+            cfar_threshold(grid, 0.01)
+
     def test_p_fa_domain(self):
         from ofdm_music import DomainError
         with pytest.raises(DomainError):

@@ -166,6 +166,11 @@ class TestGenerateTrial:
             spec_with(snr_db=snr_db,
                       base_range_max_m=math.nextafter(base_range_max_m, outward))
 
+    @pytest.mark.parametrize("n_trials", [0, -1])
+    def test_no_trials_rejected(self, n_trials):
+        with pytest.raises(ConfigError, match="n_trials must be >= 1"):
+            spec_with(n_trials=n_trials)
+
     def test_negative_seed_rejected(self):
         # numpy's SeedSequence raised ValueError on it in the middle of a run
         with pytest.raises(ConfigError, match="seed must be >= 0"):
@@ -553,6 +558,26 @@ class TestRunSweep:
         summary = run_sweep(spec, radio, range_only_plan(radio), DetectorConfig())
         assert math.isnan(summary.rmse_azimuth_deg[0])
         assert summary.rmse_range_m[0] >= 0
+
+    def test_first_target_only_scores_target_one(self):
+        # The RMSEs come from the target-1 errors alone; the miss rate still
+        # counts a miss of either target.
+        radio = baseline_radio()
+        plan = baseline_plan(radio)
+        spec = ScenarioSpec(n_trials=3, snr_db=15.0, range_diffs_m=(0.5,),
+                            rng_seed=6, base_range_max_m=22.0)
+        det = DetectorConfig()
+        errors = [harness._sweep_trial(spec, GridConfig(radio, plan), det, 0.5,
+                                       0, t)[0] for t in range(spec.n_trials)]
+        first = run_sweep(spec, radio, plan, det, first_target_only=True)
+        both = run_sweep(spec, radio, plan, det)
+        assert first.rmse_range_m == (trimmed_rmse([e[0][0] for e in errors]),)
+        assert first.rmse_azimuth_deg == (
+            trimmed_rmse([math.degrees(e[0][1]) for e in errors]),)
+        assert both.rmse_range_m == (
+            trimmed_rmse([e[q][0] for e in errors for q in (0, 1)]),)
+        assert first.rmse_range_m != both.rmse_range_m
+        assert first.p_missed == both.p_missed
 
     def test_missed_detection_drops_with_separation(self):
         # routine multiple at 15 dB: well-separated targets (5 m) are missed

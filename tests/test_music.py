@@ -7,12 +7,12 @@ import pytest
 from ofdm_music import (ConfigError, DomainError, GridConfig, NumericalError, SampleCovariance, SpectrumEvaluator, Subspaces,
                         Target, TargetScene, coarse_grid, covariance,
                         decompose, flop_estimate,
-                        grid_geometry, grid_steering,
+                        grid_geometry, grid_steering, make_plan,
                         mdl_order, music_value, noise_variance_for_snr,
                         range_resolution, smooth, steering_params,
                         synthesize_csi, unambiguous_range)
 from ofdm_music import music
-from ofdm_music.music import MUSIC_VALUE_CLAMP, point_steering
+from ofdm_music.music import MUSIC_VALUE_CLAMP, SpectrumGrid, point_steering
 from ofdm_music.presets import baseline_plan, baseline_radio, equal_m_plan
 
 from oracles import decimated_steering, sample_subarray
@@ -312,6 +312,10 @@ class TestResolutionAndGrid:
         assert unambiguous_range(cfg, equal_m_plan(1, cfg)) == 2500.0
         assert unambiguous_range(cfg, equal_m_plan(50, cfg)) == 50.0
 
+    def test_unknown_equal_m_decimation_rejected(self):
+        with pytest.raises(ConfigError, match="no equal-M variant for decimation 7"):
+            equal_m_plan(7)
+
     def test_resolution_scales_with_aperture(self):
         cfg = baseline_radio()
         coarse = range_resolution(cfg, equal_m_plan(1, cfg))
@@ -328,6 +332,24 @@ class TestResolutionAndGrid:
         assert np.diff(ranges) == pytest.approx(range_resolution(cfg, plan) / 2)
         assert abs(angles).max() <= math.radians(60) + 1e-9
 
+    @pytest.mark.parametrize("aperture_f, decim_f, rows", [(15, 3, 10),
+                                                            (301, 7, 86)])
+    def test_range_axis_has_ceil_2af_over_df_rows(self, aperture_f, decim_f,
+                                                  rows):
+        # 2 A_f / D_f is an integer here. A float arange over [0, r_max) used
+        # to add a row at r_max (1 - 1.1e-16): the steering vector of r = 0,
+        # outside the refiner's search box.
+        radio = baseline_radio()
+        geometry = grid_geometry(GridConfig(
+            radio, make_plan(radio, aperture_f, 3, decim_f, 1)))
+        assert geometry.ranges_m.size == rows
+        assert geometry.ranges_m.max() <= geometry.hi[0]
+
+    def test_spectrum_grid_shape_mismatch_rejected(self):
+        with pytest.raises(ConfigError, match="does not match axes"):
+            SpectrumGrid(ranges_m=np.arange(3.0), angles_rad=np.arange(2.0),
+                         values=np.zeros((2, 3)))
+
     def test_grid_values_nonnegative_finite(self):
         cfg = baseline_radio()
         plan = baseline_plan(cfg)
@@ -338,7 +360,6 @@ class TestResolutionAndGrid:
 
     def test_single_angle_axis_for_one_antenna_subarrays(self):
         cfg = baseline_radio()
-        from ofdm_music import make_plan
         plan = make_plan(cfg, 1401, 1, 100, 1, 1, 1)
         angles = grid_geometry(GridConfig(cfg, plan)).angles_rad
         assert angles.tolist() == [0.0]

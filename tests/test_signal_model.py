@@ -45,6 +45,27 @@ class TestRadioConfig:
         with pytest.raises(ConfigError):
             RadioConfig(**kwargs)
 
+    @pytest.mark.parametrize("c, f_c", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_wavelength_out_of_range_rejected(self, c, f_c):
+        # Each value is positive and finite, but c / f_c underflows to 0,
+        # which GridConfig used to divide by (ZeroDivisionError), or
+        # overflows to inf.
+        with pytest.raises(ConfigError, match="c / f_c"):
+            RadioConfig(n_subcarriers=8, subcarrier_spacing_hz=60e3,
+                        carrier_freq_hz=f_c, n_antennas=2,
+                        antenna_spacing_m=0.04, speed_of_light_m_s=c)
+
+
+class TestTarget:
+    @pytest.mark.parametrize("range_m, azimuth_rad, match", [
+        (0.0, 0.0, "range"), (-1.0, 0.0, "range"),
+        (1.0, math.pi / 2, "azimuth"), (1.0, -math.pi / 2, "azimuth"),
+        (1.0, 2.0, "azimuth"),
+    ])
+    def test_out_of_domain_rejected(self, range_m, azimuth_rad, match):
+        with pytest.raises(DomainError, match=match):
+            Target(range_m, azimuth_rad, 1 + 0j)
+
 
 class TestSteeringAngle:
     def test_broadside_all_ones(self):
@@ -202,6 +223,15 @@ class TestCsiFromSymbols:
         y = c * qpsk[np.newaxis, :]
         out = csi_from_symbols(y, qpsk, cfg)
         assert out.data == pytest.approx(c, abs=1e-12)
+
+    @pytest.mark.parametrize("received, transmitted", [
+        ((8,), (8,)), ((2, 8), (2, 8)), ((2, 8), (7,)),
+    ])
+    def test_incompatible_shapes_rejected(self, received, transmitted):
+        with pytest.raises(ConfigError, match="incompatible"):
+            csi_from_symbols(np.ones(received, dtype=complex),
+                             np.ones(transmitted, dtype=complex),
+                             small_radio(n=8, k=2))
 
     def test_zero_symbol_names_subcarrier(self):
         cfg = small_radio(n=8, k=2)

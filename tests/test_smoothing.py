@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ofdm_music import (ConfigError, CsiMatrix, Target, TargetScene, covariance,
-                        make_plan, smooth, synthesize_csi)
+from ofdm_music import (ConfigError, CsiMatrix, NumericalError, Target,
+                        TargetScene, covariance, decompose, make_plan, smooth,
+                        synthesize_csi)
 from ofdm_music import smoothing
 from ofdm_music.presets import baseline_plan, baseline_radio
 
@@ -187,6 +189,12 @@ class TestSmooth:
             sm[...] = np.nan   # must not reach the CSI or a later result
         assert np.array_equal(csi.data, before)
 
+    def test_csi_not_matching_the_plan_rejected(self):
+        plan = make_plan(small_radio(n=48, k=4), 21, 3, 5, 1, 2, 1)
+        csi = CsiMatrix(np.ones((4, 32), dtype=complex), small_radio(n=32, k=4))
+        with pytest.raises(ConfigError, match="does not match plan"):
+            smooth(csi, plan)
+
     def test_gather_index_built_once_per_plan_and_read_only(self):
         cfg = small_radio(n=48, k=4)
         plan = make_plan(cfg, 21, 3, 5, 1, 2, 1)
@@ -230,6 +238,16 @@ class TestCovariance:
         assert cov.n_snapshots == 7
         assert cov.matrix.shape == (5, 5)
         assert np.allclose(cov.matrix, c @ c.conj().T / 5, rtol=1e-12, atol=0)
+
+    def test_overflow_is_left_to_decompose_without_a_warning(self):
+        # Finite CSI this large used to print numpy's overflow and invalid
+        # value warnings before decompose reported the numerical error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = covariance(np.full((3, 4), 1e300 + 1e300j))
+            assert not np.all(np.isfinite(cov.matrix))
+            with pytest.raises(NumericalError, match="non-finite"):
+                decompose(cov)
 
 
 def equal_range_scene(q, rng_seed=0):
