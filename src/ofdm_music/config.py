@@ -128,7 +128,7 @@ def build_run_config(values: dict) -> RunConfig:
     """Materialize the typed configuration objects from parsed key values."""
     spacing = values["d"]
     if spacing is None:
-        # RadioConfig rejects a zero f_c before it reads the spacing.
+        # RadioConfig checks f_c, c and c / f_c before it reads the spacing.
         spacing = values["c"] / values["f_c"] / 2.0 if values["f_c"] else 0.0
     radio = RadioConfig(
         n_subcarriers=values["N"], subcarrier_spacing_hz=values["delta_f"],

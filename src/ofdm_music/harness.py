@@ -15,6 +15,7 @@ import csv
 import ctypes
 import functools
 import glob
+import itertools
 import json
 import logging
 import math
@@ -324,29 +325,34 @@ def _pin_blas_threads() -> None:
 
 @contextmanager
 def _trial_map(n_workers: int):
-    """Yield ``map_trials(fn, n_trials)``, backed by one pool per block.
+    """Yield ``map_trials(fn, n_jobs)``, backed by one pool per block.
 
-    ``map_trials`` returns ``[fn(t) for t in range(n_trials)]`` in trial
-    order. With more than one worker every call shares a single process
-    pool, opened on entry and shut down on exit; its workers run OpenBLAS on
-    one thread each.
+    ``map_trials`` returns an iterator over ``fn(0), ..., fn(n_jobs - 1)``,
+    in job order; each result is computed or collected as the iterator
+    reaches it, so a caller that reduces the stream as it goes never holds
+    every result. With more than one worker every call shares a single
+    process pool, opened on entry and shut down on exit; its workers run
+    OpenBLAS on one thread each and take jobs in chunks of
+    ``n_jobs // (8 * n_workers)``, at least one.
     """
     with (ProcessPoolExecutor(max_workers=n_workers,
                               initializer=_pin_blas_threads) if n_workers > 1
           else nullcontext()) as pool:
-        def map_trials(fn, n_trials: int) -> list:
+        def map_trials(fn, n_jobs: int):
             if pool is None:
-                return [fn(t) for t in range(n_trials)]
-            chunk = max(1, n_trials // (8 * n_workers))
-            return list(pool.map(fn, range(n_trials), chunksize=chunk))
+                return map(fn, range(n_jobs))
+            chunk = max(1, n_jobs // (8 * n_workers))
+            return pool.map(fn, range(n_jobs), chunksize=chunk)
         yield map_trials
 
 
 def _sweep_trial(spec: ScenarioSpec, grid: GridConfig, det_config: DetectorConfig,
-                 range_diff_m: float, sweep_index: int, trial_index: int
-                 ) -> tuple[tuple[tuple[float, float], tuple[float, float]],
-                            tuple[bool, bool]]:
-    scene = generate_trial(spec, grid.radio, trial_index, range_diff_m)
+                 job: int) -> tuple[tuple[tuple[float, float], tuple[float, float]],
+                                    tuple[bool, bool]]:
+    """Job ``job`` of a sweep: trial ``job mod J`` at sweep point ``job div J``."""
+    sweep_index, trial_index = divmod(job, spec.n_trials)
+    diff = 0.0 if spec.free_placement else float(spec.range_diffs_m[sweep_index])
+    scene = generate_trial(spec, grid.radio, trial_index, diff)
     noise_seed = _sub_seed(spec.rng_seed, _NOISE_TAG, trial_index, sweep_index)
     result = run_trial(grid.radio, grid.plan, det_config, scene, noise_seed,
                        grid.theta_lim_rad)
@@ -361,31 +367,35 @@ def run_sweep(spec: ScenarioSpec, radio: RadioConfig, plan: SubarrayPlan,
     """Run all trials at every sweep point and aggregate the metrics.
 
     Trials get independent sub-seeds, so the summary is bit-identical for any
-    worker count; aggregation always runs in trial order. All sweep points
-    share one process pool, of at most one worker per trial. Free-placement
-    scenarios collapse to a single sweep point with a NaN x value. On a grid
-    with one angle column every azimuth error is NaN, and so is their RMSE.
+    worker count. All n_points x J jobs go to one ``map_trials`` call (job k
+    is trial k mod J at sweep point k div J), so the pool does not drain at
+    the end of each point, and each point is aggregated in trial order as
+    its J results arrive. The pool has at most one worker per job. The
+    per-point INFO records are logged once the last trial has returned, so
+    none is handled while a worker computes. Free-placement scenarios
+    collapse to a single sweep point with a NaN x value. On a grid with one
+    angle column every azimuth error is NaN, and so is their RMSE.
     """
     grid = GridConfig(radio, plan, theta_lim_rad)
     x_values = (math.nan,) if spec.free_placement else spec.range_diffs_m
+    n_targets = 1 if first_target_only else 2
+    n_jobs = len(x_values) * spec.n_trials
     p_missed, rmse_r, rmse_th = [], [], []
-    with _trial_map(min(n_workers, spec.n_trials)) as map_trials:
-        for sweep_index, x in enumerate(x_values):
-            diff = 0.0 if spec.free_placement else float(x)
-            trial = functools.partial(_sweep_trial, spec, grid, det_config, diff,
-                                      sweep_index)
-            results = map_trials(trial, spec.n_trials)
-            missed_any = [any(m) for _, m in results]
-            p_missed.append(float(np.mean(missed_any)))
-            n_targets = 1 if first_target_only else 2
-            range_errors = [errs[q][0] for errs, _ in results
-                            for q in range(n_targets)]
-            rmse_r.append(trimmed_rmse(range_errors))
-            angle_errors = [math.degrees(errs[q][1])
-                            for errs, _ in results for q in range(n_targets)]
-            rmse_th.append(trimmed_rmse(angle_errors))
-            logger.info("sweep point %s/%s (x=%s): p_missed=%.4f rmse_r=%.4f",
-                        sweep_index + 1, len(x_values), x, p_missed[-1], rmse_r[-1])
+    with _trial_map(min(n_workers, n_jobs)) as map_trials:
+        results = map_trials(
+            functools.partial(_sweep_trial, spec, grid, det_config), n_jobs)
+        for _ in x_values:
+            point = list(itertools.islice(results, spec.n_trials))
+            p_missed.append(float(np.mean([any(m) for _, m in point])))
+            rmse_r.append(trimmed_rmse([errs[q][0] for errs, _ in point
+                                        for q in range(n_targets)]))
+            rmse_th.append(trimmed_rmse([math.degrees(errs[q][1])
+                                         for errs, _ in point
+                                         for q in range(n_targets)]))
+    for sweep_index, x in enumerate(x_values):
+        logger.info("sweep point %s/%s (x=%s): p_missed=%.4f rmse_r=%.4f",
+                    sweep_index + 1, len(x_values), x, p_missed[sweep_index],
+                    rmse_r[sweep_index])
     return SweepSummary(x_axis=tuple(float(x) for x in x_values),
                         p_missed=tuple(p_missed), rmse_range_m=tuple(rmse_r),
                         rmse_azimuth_deg=tuple(rmse_th), n_trials=spec.n_trials)
@@ -427,7 +437,7 @@ def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
                               GridConfig(radio, plan, theta_lim_rad), det_config,
                               rng_seed)
     with _trial_map(min(n_workers, n_trials)) as map_trials:
-        pivots = map_trials(pivot, n_trials)
+        pivots = list(map_trials(pivot, n_trials))
     return max(1.0, empirical_quantile(pivots, 1.0 - det_config.p_fa))
 
 

@@ -39,15 +39,15 @@ class RadioConfig:
             raise ConfigError(f"n_subcarriers must be >= 1, got {self.n_subcarriers}")
         if self.n_antennas < 1:
             raise ConfigError(f"n_antennas must be >= 1, got {self.n_antennas}")
-        for name in ("subcarrier_spacing_hz", "carrier_freq_hz", "antenna_spacing_m",
-                     "speed_of_light_m_s"):
+        # The spacing comes after the wavelength: a config that leaves d unset
+        # derives it as c / f_c / 2, and a bad c / f_c is named as such.
+        for name in ("subcarrier_spacing_hz", "carrier_freq_hz", "speed_of_light_m_s",
+                     "wavelength_m", "antenna_spacing_m"):
             # Written so that NaN fails it.
             if not 0 < getattr(self, name) < math.inf:
+                what = "the wavelength c / f_c" if name == "wavelength_m" else name
                 raise ConfigError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0 < self.wavelength_m < math.inf:
-            raise ConfigError(f"the wavelength c / f_c must be positive and "
-                              f"finite, got {self.wavelength_m}")
+                    f"{what} must be positive and finite, got {getattr(self, name)}")
 
     @property
     def wavelength_m(self) -> float:

@@ -161,13 +161,15 @@ class TestComplexityCommand:
 
 
 # Finite values that used to end a run with a traceback (exit 1) or a
-# numerical error (exit 3, delta_f alone), each with what its message names.
+# numerical error (exit 3, delta_f alone), or that named a key the config
+# never set (c / f_c), each with what its message names.
 _FINITE_BUT_UNUSABLE = [
     ("d = 1e300", "antenna spacing d"),
     ("base_range_max_m = 1e-300", "base_range_max_m"),
     ("snr_db = 1e300", "snr_db"), ("snr_db = -1e300", "snr_db"),
     ("delta_f = 1e-300", "delta_f"), ("f_c = 0", "carrier_freq_hz"),
-    ("c = 1e300\ndelta_f = 1e-300\nbase_range_max_m = 10", "delta_f")]
+    ("c = 1e300\ndelta_f = 1e-300\nbase_range_max_m = 10", "delta_f"),
+    ("c = 1e-300\nf_c = 1e300", "c / f_c")]
 
 
 class TestEstimateCommand:

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import logging
 import math
 import os
 import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,13 +53,14 @@ def pool_starts(monkeypatch):
 
 @pytest.fixture
 def inline_pools(monkeypatch):
-    """``max_workers`` of every pool the harness opens; these pools start no
-    process and map in this one."""
-    sizes = []
+    """The pools the harness opens: ``sizes`` holds the ``max_workers`` of
+    each and ``maps`` the (job count, chunk size) of each ``map`` call, in
+    order. These pools start no process and map lazily in this one."""
+    record = SimpleNamespace(sizes=[], maps=[])
 
     class InlinePool:
         def __init__(self, max_workers, initializer=None):
-            sizes.append(max_workers)
+            record.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -65,10 +69,12 @@ def inline_pools(monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+            jobs = list(iterable)
+            record.maps.append((len(jobs), chunksize))
+            return map(fn, jobs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-    return sizes
+    return record
 
 
 class TestGenerateTrial:
@@ -530,16 +536,65 @@ class TestRunSweep:
         assert pool_starts == [2]   # one worker maps in-process
 
     def test_no_more_workers_than_trials(self, inline_pools):
+        # The cap is the sweep's trials in all: points times J.
         radio = baseline_radio()
         plan = baseline_plan(radio)
         spec = ScenarioSpec(n_trials=3, snr_db=15.0, range_diffs_m=(0.0, 1.0),
                             rng_seed=7, base_range_max_m=22.0)
         wide = run_sweep(spec, radio, plan, DetectorConfig(), n_workers=64)
-        assert inline_pools == [3]
+        assert inline_pools.sizes == [6]
         assert run_sweep(spec, radio, plan, DetectorConfig()) == wide
         one = dataclasses.replace(spec, n_trials=1)
         run_sweep(one, radio, plan, DetectorConfig(), n_workers=64)
-        assert inline_pools == [3]   # a single trial maps in-process
+        assert inline_pools.sizes == [6, 2]   # one trial at each of two points
+
+    def test_one_map_per_sweep(self, inline_pools):
+        radio = baseline_radio()
+        plan = baseline_plan(radio)
+        spec = ScenarioSpec(n_trials=2, snr_db=15.0, range_diffs_m=(0.0, 0.5, 1.0),
+                            rng_seed=7, base_range_max_m=22.0)
+        parallel = run_sweep(spec, radio, plan, DetectorConfig(), n_workers=2)
+        assert inline_pools.sizes == [2]
+        assert inline_pools.maps == [(6, 1)]   # 3 points x 2 trials, one map
+        assert run_sweep(spec, radio, plan, DetectorConfig()) == parallel
+        assert inline_pools.maps == [(6, 1)]   # one worker maps in-process
+        # The chunk rule over the 104 jobs of 26 points x 4 trials.
+        with harness._trial_map(2) as map_trials:
+            assert list(map_trials(abs, 104)) == list(range(104))
+        assert inline_pools.maps[-1] == (104, 6)
+
+    def test_single_trial_points_share_a_pool(self, pool_starts):
+        # J = 1 used to map each point in-process; the three jobs now go to
+        # a two-worker pool, with the same summary bit for bit.
+        radio = baseline_radio()
+        plan = baseline_plan(radio)
+        spec = ScenarioSpec(n_trials=1, snr_db=15.0, range_diffs_m=(0.0, 0.5, 1.0),
+                            rng_seed=8, base_range_max_m=22.0)
+        parallel = run_sweep(spec, radio, plan, DetectorConfig(), n_workers=2)
+        assert pool_starts == [2]
+        assert run_sweep(spec, radio, plan, DetectorConfig()) == parallel
+
+    def test_point_records_follow_the_last_trial(self, inline_pools, monkeypatch,
+                                                 caplog):
+        # A record logged while a worker computes would time the worker as
+        # the parent's; every trial returns before the first record.
+        records_at_trial = []
+        trial = harness.run_trial
+
+        def counted_trial(*args):
+            records_at_trial.append(len(caplog.records))
+            return trial(*args)
+
+        monkeypatch.setattr(harness, "run_trial", counted_trial)
+        caplog.set_level(logging.INFO, logger=harness.__name__)
+        radio = baseline_radio()
+        spec = ScenarioSpec(n_trials=2, snr_db=15.0, range_diffs_m=(0.0, 1.0),
+                            rng_seed=7, base_range_max_m=22.0)
+        run_sweep(spec, radio, baseline_plan(radio), DetectorConfig(), n_workers=2)
+        assert inline_pools.maps == [(4, 1)]
+        assert records_at_trial == [0] * 4
+        assert [r.getMessage().split(" (")[0] for r in caplog.records] == [
+            "sweep point 1/2", "sweep point 2/2"]
 
     def test_free_placement_single_point(self):
         radio = baseline_radio()
@@ -567,8 +622,9 @@ class TestRunSweep:
         spec = ScenarioSpec(n_trials=3, snr_db=15.0, range_diffs_m=(0.5,),
                             rng_seed=6, base_range_max_m=22.0)
         det = DetectorConfig()
-        errors = [harness._sweep_trial(spec, GridConfig(radio, plan), det, 0.5,
-                                       0, t)[0] for t in range(spec.n_trials)]
+        # Jobs 0 .. J - 1 are the trials of the one sweep point, at 0.5 m.
+        errors = [harness._sweep_trial(spec, GridConfig(radio, plan), det, t)[0]
+                  for t in range(spec.n_trials)]
         first = run_sweep(spec, radio, plan, det, first_target_only=True)
         both = run_sweep(spec, radio, plan, det)
         assert first.rmse_range_m == (trimmed_rmse([e[0][0] for e in errors]),)
@@ -597,11 +653,11 @@ class TestRunSweep:
         summary = run_sweep(spec, radio, plan, DetectorConfig())
         csv_path, json_path = write_sweep_outputs(summary, tmp_path,
                                                   {"seed": 6})
-        lines = open(csv_path).read().strip().splitlines()
+        lines = Path(csv_path).read_text().strip().splitlines()
         assert lines[0] == "x_value,p_missed,rmse_range_m,rmse_azimuth_deg,n_trials"
         assert len(lines) == 3
         import json as json_mod
-        doc = json_mod.loads(open(json_path).read())
+        doc = json_mod.loads(Path(json_path).read_text())
         assert doc["seed"] == 6
         assert doc["summary"]["n_trials"] == 2
 
@@ -613,7 +669,7 @@ class TestRunSweep:
             x_axis=(math.nan,), p_missed=(0.5,), rmse_range_m=(1.0,),
             rmse_azimuth_deg=(math.nan,), n_trials=2)
         _, json_path = write_sweep_outputs(summary, tmp_path, {})
-        doc = json.loads(open(json_path).read())
+        doc = json.loads(Path(json_path).read_text())
         assert doc["summary"]["x_axis"] == [None]
         assert doc["summary"]["rmse_azimuth_deg"] == [None]
         for field, bad in (("p_missed", math.nan), ("rmse_range_m", math.inf),
@@ -681,11 +737,11 @@ class TestCalibrateKappa:
         plan = make_plan(radio, 9, 3, 1, 1, 1, 1)
         wide = calibrate_kappa(radio, plan, DetectorConfig(), n_trials=3,
                                rng_seed=4, n_workers=64)
-        assert inline_pools == [3]
+        assert inline_pools.sizes == [3]
         assert calibrate_kappa(radio, plan, DetectorConfig(), n_trials=3,
                                rng_seed=4) == wide
         calibrate_kappa(radio, plan, DetectorConfig(), n_trials=1, n_workers=64)
-        assert inline_pools == [3]   # a single trial maps in-process
+        assert inline_pools.sizes == [3]   # a single trial maps in-process
 
     @pytest.mark.parametrize("n_trials", [0, -2])
     def test_no_trials_rejected(self, pool_starts, n_trials):
