@@ -172,7 +172,7 @@ def cancel_target(subspaces: Subspaces, grid_config: GridConfig,
                        det.azimuth_rad)
     us = subspaces.signal_basis
     w = us.conj().T @ c
-    norm = float(np.linalg.norm(w))
+    norm = _norm(w)
     if norm <= 1e-8 * math.sqrt(c.size):
         raise AlreadyCanceledError(
             f"steering at (r={det.range_m:.3f} m, theta={det.azimuth_rad:.4f} rad) "
@@ -180,11 +180,16 @@ def cancel_target(subspaces: Subspaces, grid_config: GridConfig,
     w /= norm
     # The Householder reflector that maps w, the coordinates of u in the
     # signal basis, onto the first axis is unitary and Hermitian, so its
-    # other q - 1 columns are orthonormal and orthogonal to w.
-    y = w.copy()
-    y[0] += np.exp(1j * np.angle(w[0])) * np.linalg.norm(w)
-    signal = us[:, 1:] - np.outer(us @ y, y[1:].conj() * (2.0 / np.vdot(y, y).real))
+    # other q - 1 columns are orthonormal and orthogonal to w. Its vector
+    # y = w + e^{j arg w_0} ||w|| e_0 is built in place of w.
+    w[0] += np.exp(1j * np.angle(w[0])) * _norm(w)
+    signal = us[:, 1:] - np.outer(us @ w, w[1:].conj() * (2.0 / np.vdot(w, w).real))
     return dataclasses.replace(subspaces, signal_basis=signal)
+
+
+def _norm(w: np.ndarray) -> float:
+    """||w|| for a complex vector, computed as ``np.linalg.norm`` computes it."""
+    return math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
 
 
 def _merge_peaks(peaks: list[tuple[float, float, float]], radius_r: float,
@@ -223,8 +228,12 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
     clipped step would instead creep along the bound until the step budget
     runs out.
 
-    Each seed's state is a handful of Python floats, and its step is
-    recomputed only when it accepts a move. A seed stops once its capped
+    The loop is plain Python floats: the points are two coordinate lists,
+    a seed's denominator and step (d0, d1, length) sit in lists beside
+    them, and its step is recomputed only when it accepts a move. Each
+    batched call is a few tens of microseconds of numpy overhead, so the
+    loop around it keeps its own cost to a few list reads and float
+    comparisons per seed and step. A seed stops once its capped
     step is shorter than ``_MIN_STEP_CELLS``, which includes a point with
     both axes held, whose step has zero length; a stopped seed's state never
     changes again, so it would keep stopping. Each step evaluates every seed
@@ -240,73 +249,73 @@ def _ascend(evaluator: SpectrumEvaluator, x: np.ndarray, cell: np.ndarray,
     hi0, hi1 = map(float, hi)
     free0, free1 = float(hi0 > lo0), float(hi1 > lo1)
 
-    def evaluate(points):
-        pts = np.array(points, dtype=float).reshape(-1, 2)
-        den, grad, hess = evaluator.denominator(pts[:, 0], pts[:, 1])
-        return zip(den.tolist(), grad.tolist(), hess.tolist())
+    def evaluate(r, s):
+        den, grad, hess = evaluator.denominator(np.array(r), np.array(s))
+        return zip(r, s, den.tolist(), grad.tolist(), hess.tolist())
 
-    def direction(grad, hess, f0, f1):
-        """(d0, d1) in cell units, searching the axes whose flag is 1.0.
-
-        A Newton step where the Hessian is positive definite, else a unit
-        step down the gradient.
-        """
-        g0, g1 = grad[0] * c0 * f0, grad[1] * c1 * f1
-        # A held axis gets a unit curvature and no slope: it never moves.
-        # Adding 0.0 also turns a -0.0 into 0.0, as the batched form does.
-        h00 = hess[0][0] * (c0 * c0 * f0) + (1.0 - f0)
-        h01 = hess[0][1] * (c0 * c1 * (f0 * f1)) + 0.0
-        h11 = hess[1][1] * (c1 * c1 * f1) + (1.0 - f1)
-        det = h00 * h11 - h01 * h01
-        if h00 > 0 and det > 0:
-            return -(h11 * g0 - h01 * g1) / det, -(h00 * g1 - h01 * g0) / det
-        slope = math.sqrt(g0 * g0 + g1 * g1)
-        if not slope > 0:
-            slope = 1.0
-        return -g0 / slope, -g1 / slope
-
-    def step(point, grad, hess):
-        """(d0, d1, length) of the step from ``point``. An axis whose step
-        leaves the box from its bound is held."""
-        x0, x1 = point
+    def step(x0, x1, grad, hess):
+        """(d0, d1, length) of the step from (x0, x1) in cell units: a
+        Newton step where the Hessian is positive definite, else a unit step
+        down the gradient. An axis whose step leaves the box from its bound
+        is held, and the step is taken again on the other axis."""
+        (g0, g1), ((h00, h01), (_, h11)) = grad, hess
         f0, f1 = free0, free1
         while True:
-            d0, d1 = direction(grad, hess, f0, f1)
+            # A held axis (flag 0.0) gets a unit curvature and no slope: it
+            # never moves. Adding 0.0 also turns a -0.0 into 0.0, as the
+            # batched form does.
+            k0, k1 = g0 * c0 * f0, g1 * c1 * f1
+            k00 = h00 * (c0 * c0 * f0) + (1.0 - f0)
+            k01 = h01 * (c0 * c1 * (f0 * f1)) + 0.0
+            k11 = h11 * (c1 * c1 * f1) + (1.0 - f1)
+            det = k00 * k11 - k01 * k01
+            if k00 > 0 and det > 0:
+                d0 = -(k11 * k0 - k01 * k1) / det
+                d1 = -(k00 * k1 - k01 * k0) / det
+            else:
+                slope = math.sqrt(k0 * k0 + k1 * k1)
+                if not slope > 0:
+                    slope = 1.0
+                d0, d1 = -k0 / slope, -k1 / slope
             out0 = f0 and (x0 <= lo0 and d0 < 0 or x0 >= hi0 and d0 > 0)
             out1 = f1 and (x1 <= lo1 and d1 < 0 or x1 >= hi1 and d1 > 0)
             if not (out0 or out1):
-                break
+                return d0, d1, math.sqrt(d0 * d0 + d1 * d1)
             f0, f1 = (0.0 if out0 else f0), (0.0 if out1 else f1)
-        return d0, d1, math.sqrt(d0 * d0 + d1 * d1)
 
-    points = np.asarray(x, dtype=float).reshape(-1, 2).tolist()
-    state = [(den, *step(point, grad, hess))
-             for point, (den, grad, hess) in zip(points, evaluate(points))]
-    radius = [_MAX_STEP_CELLS] * len(points)
-    active = list(range(len(points)))
+    x = np.asarray(x, dtype=float).reshape(-1, 2)
+    xs0, xs1 = x[:, 0].tolist(), x[:, 1].tolist()
+    dens, steps = [], []
+    for x0, x1, den, grad, hess in evaluate(xs0, xs1):
+        dens.append(den)
+        steps.append(step(x0, x1, grad, hess))
+    radius = [_MAX_STEP_CELLS] * len(dens)
+    active = range(len(dens))
     for _ in range(_ASCENT_STEPS):
-        moving, trials = [], []
+        moving, trial0, trial1 = [], [], []
         for i in active:
-            x0, x1 = points[i]
-            _, d0, d1, length = state[i]
-            if min(length, radius[i]) < _MIN_STEP_CELLS:
+            d0, d1, length = steps[i]
+            rad = radius[i]
+            if length < _MIN_STEP_CELLS or rad < _MIN_STEP_CELLS:
                 continue
-            shrink = min(1.0, radius[i] / length)
+            shrink = rad / length if rad < length else 1.0
+            t0 = xs0[i] + d0 * shrink * c0
+            t1 = xs1[i] + d1 * shrink * c1
             moving.append(i)
-            trials.append([min(max(x0 + d0 * shrink * c0, lo0), hi0),
-                           min(max(x1 + d1 * shrink * c1, lo1), hi1)])
+            trial0.append(lo0 if t0 < lo0 else hi0 if t0 > hi0 else t0)
+            trial1.append(lo1 if t1 < lo1 else hi1 if t1 > hi1 else t1)
         if not moving:
             break
-        for i, trial, (den, grad, hess) in zip(moving, trials, evaluate(trials)):
-            if den < state[i][0]:
-                points[i] = trial
-                state[i] = (den, *step(trial, grad, hess))
+        for i, (t0, t1, den, grad, hess) in zip(moving,
+                                                evaluate(trial0, trial1)):
+            if den < dens[i]:
+                xs0[i], xs1[i], dens[i] = t0, t1, den
+                steps[i] = step(t0, t1, grad, hess)
                 radius[i] = min(2.0 * radius[i], _MAX_STEP_CELLS)
             else:
                 radius[i] /= 2.0
         active = moving
-    return np.array(points, dtype=float).reshape(-1, 2), \
-        np.array([s[0] for s in state], dtype=float)
+    return np.column_stack([xs0, xs1]), np.array(dens)
 
 
 def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
@@ -333,14 +342,16 @@ def refine_candidates(subspaces: Subspaces, grid_config: GridConfig,
     rows, cols = np.divmod(order, grid.angles_rad.size)
     seeds = np.column_stack([grid.ranges_m[rows], np.sin(grid.angles_rad[cols])])
     refined, den = _ascend(evaluator, seeds, cell, lo, hi)
-    margin = np.minimum(refined - lo, hi - refined) / cell
-    pinned = np.any((margin < 1e-6) & (hi > lo), axis=1)
-    peaks = [(r, math.asin(s), d) for (r, s), d in
-             zip(refined[~pinned].tolist(), den[~pinned].tolist())]
+    (lo0, lo1), (hi0, hi1), (c0, c1) = lo.tolist(), hi.tolist(), cell.tolist()
+    # Pinned: within a millionth of a cell of a bound of a searched axis.
+    peaks = [(r, math.asin(s), d)
+             for (r, s), d in zip(refined.tolist(), den.tolist())
+             if not (hi0 > lo0 and min(r - lo0, hi0 - r) / c0 < 1e-6
+                     or hi1 > lo1 and min(s - lo1, hi1 - s) / c1 < 1e-6)]
     # A grid with one angle column holds the sine axis, so its peaks share
     # one azimuth and merge on range alone.
-    radius_r = _MERGE_RADIUS_CELLS * float(cell[0])
-    radius_theta = _MERGE_RADIUS_CELLS * float(cell[1])
+    radius_r = _MERGE_RADIUS_CELLS * c0
+    radius_theta = _MERGE_RADIUS_CELLS * c1
     return [(r, th, evaluator.value(r, th))
             for r, th, _ in _merge_peaks(peaks, radius_r, radius_theta)]
 

@@ -8,7 +8,9 @@ decimated sub-array lattice. Only the q signal eigenvectors U_S are kept;
 
 Every steering vector, gridded, refined, valued or canceled, is one
 expression: element m of v(r, theta) is exp(j(r*a[m] + sin(theta)*b[m])),
-with the phase ramps a, b of :class:`GridGeometry` ``moments``.
+with the phase ramps a, b of :class:`GridGeometry` ``moments``. The
+refiner's :meth:`SpectrumEvaluator.denominator` writes it inline, to save a
+call on its hot path; the others build it with ``_steering``.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def music_value(subspaces: Subspaces, steering: np.ndarray) -> float:
     near-null, where M - ||U_S^H v||^2 cancels to a few digits."""
     us = subspaces.signal_basis
     residual = steering - us @ (us.conj().T @ steering)
-    return float(_clamped_inverse(np.vdot(residual, residual).real))
+    return _clamped_inverse_of(float(np.vdot(residual, residual).real))
 
 
 def _clamped_inverse(den):
@@ -149,6 +151,12 @@ def _clamped_inverse(den):
     is already below C (1 / (1 / C) rounds to C - 128)."""
     return np.where(den <= 1.0 / MUSIC_VALUE_CLAMP, MUSIC_VALUE_CLAMP,
                     1.0 / np.maximum(den, 1e-300))
+
+
+def _clamped_inverse_of(den: float) -> float:
+    """``_clamped_inverse`` of one float, the same bits without the array
+    calls; its branch leaves only den > 1 / C to divide by."""
+    return MUSIC_VALUE_CLAMP if den <= 1.0 / MUSIC_VALUE_CLAMP else 1.0 / den
 
 
 def _steering(moments: np.ndarray, r, s) -> np.ndarray:
@@ -173,6 +181,13 @@ def grid_steering(moments: np.ndarray, ranges_m: np.ndarray,
     return v.reshape(-1, moments.shape[1]).T
 
 
+# Where den, grad and hess read the block q_i^H q_j of
+# SpectrumEvaluator.denominator, flattened as floats: Re q_0^H q_0;
+# Im q_0^H q_1, Im q_0^H q_2; Re q_0^H q_j for j = 3, 4, 4, 5; Re q_i^H q_j
+# for (i, j) = (1, 1), (1, 2), (2, 1), (2, 2).
+_DENOMINATOR_FLOATS = np.array([0, 3, 5, 6, 8, 8, 10, 14, 16, 26, 28])
+
+
 class SpectrumEvaluator:
     """Fast repeated pseudospectrum evaluation for one signal subspace.
 
@@ -191,10 +206,15 @@ class SpectrumEvaluator:
 
     The (M, 6q) matrix whose column k*q + j is signal column j scaled by
     moment row k is built on first use, so a grid-only evaluator does not
-    build it; one projection of a steering vector on it gives every product
-    the denominator's gradient and Hessian need. The steering phase is
-    linear in (r, sin theta), which gives the denominator a closed-form
-    gradient and Hessian in those coordinates.
+    build it; one projection of a steering vector on it gives the six
+    projections q_0..q_5 whose products the denominator's gradient and
+    Hessian need. The steering phase is linear in (r, sin theta), which
+    gives the denominator a closed-form gradient and Hessian in those
+    coordinates. A ``denominator`` call is fixed cost more than arithmetic
+    (M = 45 elements on the baseline plan, a handful of points), so it
+    makes as few numpy calls as it can: the steering phase inline, one
+    stacked matmul, one ``einsum`` for the block q_i^H q_j (i < 3), and one
+    index and three in-place updates on a float view of that block.
     """
 
     def __init__(self, subspaces: Subspaces, geometry: GridGeometry):
@@ -222,22 +242,28 @@ class SpectrumEvaluator:
 
         Every derivative of v = exp(j(r*a + s*b)) is v times a product of the
         phase ramps a, b, so one matmul projects them all. Returns arrays of
-        shapes (n,), (n, 2) and (n, 2, 2), in (r, sin theta) coordinates.
+        shapes (n,), (n, 2) and (n, 2, 2), in (r, sin theta) coordinates:
+        views of one (n, 11) array.
         """
-        v = _steering(self._moments, ranges_m, sines)
+        n = len(ranges_m)
+        v = np.exp(1j * (ranges_m[:, np.newaxis] * self._moments[1]
+                         + sines[:, np.newaxis] * self._moments[2]))
         # One (1, M) x (M, 6q) product per point: a stacked matmul, so a
         # point's bits do not depend on the batch it comes in.
         rows = len(self._moments)
         q = (v[:, np.newaxis, :] @ self._weighted).reshape(
-            len(v), rows, self._weighted.shape[1] // rows)
+            n, rows, self._weighted.shape[1] // rows)
         # The factors j and j^2 that differentiation brings down fold into the
         # signs of S = ||q_0||^2: S_x = -2 Im(q_0^H q_x) and
-        # S_xy = 2 Re(q_x^H q_y - q_0^H q_xy). The denominator is M - S.
-        cross = np.einsum("nk,nmk->nm", q[:, 0].conj(), q)
-        gram = np.einsum("nik,njk->nij", q[:, 1:3].conj(), q[:, 1:3]).real
-        curvature = cross[:, [3, 4, 4, 5]].real.reshape(-1, 2, 2)
-        return self._moments.shape[1] - cross[:, 0].real, \
-            2.0 * cross[:, 1:3].imag, 2.0 * (curvature - gram)
+        # S_xy = 2 Re(q_x^H q_y - q_0^H q_xy). The denominator is M - S. All
+        # of it reads the block q_i^H q_j, i < 3, as floats: 12 per row i,
+        # the real part of column j at 2j and its imaginary part at 2j + 1.
+        block = np.einsum("nik,njk->nij", q[:, :3].conj(), q).view(float)
+        out = block.reshape(n, 36).take(_DENOMINATOR_FLOATS, axis=1)
+        out[:, 3:7] -= out[:, 7:]
+        out[:, 1:7] *= 2.0
+        np.subtract(v.shape[1], out[:, 0], out=out[:, 0])
+        return out[:, 0], out[:, 1:3], out[:, 3:7].reshape(n, 2, 2)
 
 
 def range_resolution(config: RadioConfig, plan: SubarrayPlan) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -12,9 +13,10 @@ from ofdm_music import (DEFAULT_THETA_LIM_RAD, AlreadyCanceledError,
                         SpectrumGrid, Subspaces, Target, TargetScene,
                         cancel_target, cfar_threshold, coarse_grid, covariance,
                         decompose, detect, generate_trial,
-                        grid_geometry, grid_steering, music_value,
-                        noise_variance_for_snr, refine_candidates, run_trial,
-                        smooth, steering_params, synthesize_csi)
+                        grid_geometry, grid_steering, make_plan,
+                        music_value, noise_variance_for_snr,
+                        refine_candidates, run_trial, smooth, steering_params,
+                        synthesize_csi)
 from ofdm_music import detection, music
 from ofdm_music.detection import _ascend, empirical_quantile
 from ofdm_music.music import point_steering
@@ -810,11 +812,19 @@ def same_ascent(got, want):
     return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
+# The plans of TestDetectLoop and one where 2 A_f / D_f = 10 is an integer:
+# there the float arange over [0, r_max) that built the range axis before
+# added an 11th row at r_max (1 - 1.1e-16), with the steering of r = 0.
+SCENE_PLANS = dict(TestDetectLoop.PLANS,
+                   aliased_row=lambda radio: make_plan(radio, 15, 3, 3, 1))
+
+
 def two_target_scenes(plan_name, n):
     """(subspaces, params, grid config) of the seeded two-target scenes at
-    15 dB that :class:`TestDetectLoop` uses, range differences 0 and 1 m."""
+    15 dB that :class:`TestDetectLoop` uses, range differences 0 and 1 m, on
+    the plan ``SCENE_PLANS[plan_name]``."""
     radio = baseline_radio()
-    plan = TestDetectLoop.PLANS[plan_name](radio)
+    plan = SCENE_PLANS[plan_name](radio)
     params = steering_params(radio, plan)
     gc = GridConfig(radio, plan)
     spec = ScenarioSpec(n_trials=n, snr_db=15.0, base_range_max_m=24.0,
@@ -977,18 +987,40 @@ class TestAscend:
     def test_denominator_rows_do_not_depend_on_the_batch(self, plan_name):
         # What keeps the iterates equal to the reference's, which evaluates
         # every seed at every step: a point's denominator, gradient and
-        # Hessian are the same bits in any batch.
+        # Hessian are the same bits in any batch. The sum over the signal
+        # columns runs inside each point's products, so every column count
+        # the detector meets is checked: q = 1..4 orthonormal columns, the
+        # scene's basis and each basis its cancelations leave.
         subs, params, gc = next(two_target_scenes(plan_name, 1))
-        ev = SpectrumEvaluator(subs, grid_geometry(gc))
+        geometry = grid_geometry(gc)
+        m = geometry.moments.shape[1]
+        rng = np.random.default_rng(12)
+        unitary, _ = np.linalg.qr(rng.normal(size=(m, 4))
+                                  + 1j * rng.normal(size=(m, 4)))
+        bases = [unitary[:, :q] for q in range(1, 5)] + [subs.signal_basis]
+        report = detect(subs, params, gc, DetectorConfig())
+        current = subs
+        for det in report.detections:
+            current = cancel_target(current, gc, det)
+            bases.append(current.signal_basis)
+        assert report.detections
+        # detect grids and refines no basis without signal columns.
+        bases = [b for b in bases if b.shape[1] > 0]
         rng = np.random.default_rng(11)
         pts = np.column_stack([rng.uniform(0.0, params.r_max_m, 10),
                                rng.uniform(-0.85, 0.85, 10)])
-        full = ev.denominator(pts[:, 0], pts[:, 1])
-        for idx in ([3], [0, 9], [2, 3, 5, 7], list(range(9)),
-                    rng.permutation(10), rng.permutation(10)[:6]):
-            part = pts[idx]
-            for got, want in zip(ev.denominator(part[:, 0], part[:, 1]), full):
-                assert got.tobytes() == want[idx].tobytes(), idx
+        batches = ([3], [0, 9], [2, 3, 5, 7], list(range(9)),
+                   rng.permutation(10), rng.permutation(10)[:6])
+        for basis in bases:
+            ev = SpectrumEvaluator(dataclasses.replace(subs, signal_basis=basis),
+                                   geometry)
+            full = ev.denominator(pts[:, 0], pts[:, 1])
+            for idx in batches:
+                part = pts[idx]
+                for got, want in zip(ev.denominator(part[:, 0], part[:, 1]),
+                                     full):
+                    assert got.tobytes() == want[idx].tobytes(), \
+                        (basis.shape, idx)
 
     def test_evaluates_under_half_the_points(self, monkeypatch):
         # The reference evaluates every seed at the start and at every
@@ -1031,10 +1063,12 @@ def coarse_grid_reference(subspaces, params, config, plan,
     vectors again before projecting them: on the signal side,
     M - ||U_S^H v||^2, or with ``noise_side`` as ||U_N^H v||^2, the form the
     grid had before it moved to the signal side, with U_N built here as the
-    orthogonal complement of the signal span.
+    orthogonal complement of the signal span. The range axis has
+    ceil(2 A_f / D_f) rows, half a resolution cell apart from 0.
     """
     r_step = music.range_resolution(config, plan) / 2.0
-    ranges = np.arange(0.0, music.unambiguous_range(config, plan), r_step)
+    n_ranges = (2 * plan.aperture_f + plan.decim_f - 1) // plan.decim_f
+    ranges = np.arange(n_ranges) * r_step
     if plan.n_sub_a > 1:
         extent = (plan.n_sub_a - 1) * plan.decim_a * config.antenna_spacing_m
         th_step = (config.wavelength_m / extent) / 2.0
@@ -1079,7 +1113,17 @@ def refine_box_reference(params, grid, theta_lim_rad):
 class TestGridGeometry:
     LIMITS = (DEFAULT_THETA_LIM_RAD, math.radians(45.0), 0.0)
 
-    @pytest.mark.parametrize("plan_name", sorted(TestDetectLoop.PLANS))
+    def test_aliased_row_plan_had_the_row(self):
+        # What the aliased_row plan guards: the float arange over [0, r_max)
+        # gives it one row more than the grid, at r_max (1 - 1.1e-16).
+        radio = baseline_radio()
+        plan = SCENE_PLANS["aliased_row"](radio)
+        r_max = music.unambiguous_range(radio, plan)
+        old = np.arange(0.0, r_max, music.range_resolution(radio, plan) / 2.0)
+        assert old.size == grid_geometry(GridConfig(radio, plan)).ranges_m.size + 1
+        assert old[-1] == pytest.approx(r_max, rel=1e-15)
+
+    @pytest.mark.parametrize("plan_name", sorted(SCENE_PLANS))
     def test_grids_match_reference_before_and_after_cancelations(self,
                                                                  plan_name):
         # 30 seeded two-target scenes per plan: the grid of the decomposed

@@ -257,6 +257,17 @@ class TestMusicValue:
         vals = music._clamped_inverse(np.array([-1.0, 0.0, den, 2 * den, 4.0]))
         assert vals.tolist() == [MUSIC_VALUE_CLAMP] * 3 + [1.0 / (2 * den), 0.25]
 
+    @pytest.mark.parametrize("den", [
+        0.0, 1.0 / MUSIC_VALUE_CLAMP,
+        math.nextafter(1.0 / MUSIC_VALUE_CLAMP, math.inf), 1e-300, 1.0,
+        45.0,   # M of the baseline plan: the value of a flat spectrum
+    ])
+    def test_scalar_clamp_matches_the_array_form(self, den):
+        # music_value's scalar clamp gives the bits of the grid's array form.
+        got = music._clamped_inverse_of(den)
+        assert type(got) is float
+        assert got.hex() == float(music._clamped_inverse(np.array([den]))[0]).hex()
+
     def test_noise_column_gives_one(self):
         subs, noise = self.make_subspaces()
         assert music_value(subs, noise[:, 3]) == pytest.approx(1.0, rel=1e-12)
