@@ -172,7 +172,7 @@ def cancel_target(subspaces: Subspaces, grid_config: GridConfig,
                        det.azimuth_rad)
     us = subspaces.signal_basis
     w = us.conj().T @ c
-    norm = _norm(w)
+    norm = float(np.linalg.norm(w))
     if norm <= 1e-8 * math.sqrt(c.size):
         raise AlreadyCanceledError(
             f"steering at (r={det.range_m:.3f} m, theta={det.azimuth_rad:.4f} rad) "
@@ -182,14 +182,9 @@ def cancel_target(subspaces: Subspaces, grid_config: GridConfig,
     # signal basis, onto the first axis is unitary and Hermitian, so its
     # other q - 1 columns are orthonormal and orthogonal to w. Its vector
     # y = w + e^{j arg w_0} ||w|| e_0 is built in place of w.
-    w[0] += np.exp(1j * np.angle(w[0])) * _norm(w)
+    w[0] += np.exp(1j * np.angle(w[0])) * np.linalg.norm(w)
     signal = us[:, 1:] - np.outer(us @ w, w[1:].conj() * (2.0 / np.vdot(w, w).real))
     return dataclasses.replace(subspaces, signal_basis=signal)
-
-
-def _norm(w: np.ndarray) -> float:
-    """||w|| for a complex vector, computed as ``np.linalg.norm`` computes it."""
-    return math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
 
 
 def _merge_peaks(peaks: list[tuple[float, float, float]], radius_r: float,

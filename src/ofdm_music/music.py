@@ -8,9 +8,7 @@ decimated sub-array lattice. Only the q signal eigenvectors U_S are kept;
 
 Every steering vector, gridded, refined, valued or canceled, is one
 expression: element m of v(r, theta) is exp(j(r*a[m] + sin(theta)*b[m])),
-with the phase ramps a, b of :class:`GridGeometry` ``moments``. The
-refiner's :meth:`SpectrumEvaluator.denominator` writes it inline, to save a
-call on its hot path; the others build it with ``_steering``.
+with the phase ramps a, b of :class:`GridGeometry` ``moments``.
 """
 
 from __future__ import annotations
@@ -212,9 +210,9 @@ class SpectrumEvaluator:
     gives the denominator a closed-form gradient and Hessian in those
     coordinates. A ``denominator`` call is fixed cost more than arithmetic
     (M = 45 elements on the baseline plan, a handful of points), so it
-    makes as few numpy calls as it can: the steering phase inline, one
-    stacked matmul, one ``einsum`` for the block q_i^H q_j (i < 3), and one
-    index and three in-place updates on a float view of that block.
+    makes few numpy calls: one ``_steering`` call, one stacked matmul, one
+    ``einsum`` for the block q_i^H q_j (i < 3), and one index and three
+    in-place updates on a float view of that block.
     """
 
     def __init__(self, subspaces: Subspaces, geometry: GridGeometry):
@@ -241,13 +239,13 @@ class SpectrumEvaluator:
         """M - ||U_S^H v||^2 at points (r, sin theta), with gradient and Hessian.
 
         Every derivative of v = exp(j(r*a + s*b)) is v times a product of the
-        phase ramps a, b, so one matmul projects them all. Returns arrays of
-        shapes (n,), (n, 2) and (n, 2, 2), in (r, sin theta) coordinates:
-        views of one (n, 11) array.
+        phase ramps a, b, so one matmul projects them all. ``ranges_m`` and
+        ``sines`` are 1-D, or broadcast to 1-D, over the n points. Returns
+        arrays of shapes (n,), (n, 2) and (n, 2, 2), in (r, sin theta)
+        coordinates: views of one (n, 11) array.
         """
-        n = len(ranges_m)
-        v = np.exp(1j * (ranges_m[:, np.newaxis] * self._moments[1]
-                         + sines[:, np.newaxis] * self._moments[2]))
+        v = _steering(self._moments, ranges_m, sines)
+        n = len(v)
         # One (1, M) x (M, 6q) product per point: a stacked matmul, so a
         # point's bits do not depend on the batch it comes in.
         rows = len(self._moments)
