@@ -7,9 +7,9 @@ from .detection import (Detection, DetectionReport, DetectorConfig, GridConfig,
 from .errors import (AlreadyCanceledError, ConfigError, CsiFormatError,
                      DomainError, NumericalError, OfdmMusicError)
 from .harness import (ScenarioSpec, ScoringContext, SweepSummary, TrialResult,
-                      assign_and_score, calibrate_kappa, generate_trial,
-                      noise_variance_for_snr, run_sweep, run_trial, trimmed_rmse,
-                      write_sweep_outputs)
+                      assign_and_score, calibrate_kappa, estimate,
+                      generate_trial, noise_variance_for_snr, run_sweep,
+                      run_trial, trimmed_rmse, write_sweep_outputs)
 from .music import (DEFAULT_THETA_LIM_RAD, MUSIC_VALUE_CLAMP, SpectrumEvaluator,
                     SpectrumGrid, SteeringParams, Subspaces, coarse_grid,
                     decompose, flop_estimate, grid_geometry, grid_steering,

@@ -17,12 +17,12 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, build_run_config, parse_config_text
-from .detection import Routine, detect
+from .detection import Routine
 from .errors import ConfigError, OfdmMusicError
-from .harness import calibrate_kappa, run_sweep, write_sweep_outputs
-from .music import GridConfig, decompose, flop_estimate, grid_geometry
+from .harness import calibrate_kappa, estimate, run_sweep, write_sweep_outputs
+from .music import GridConfig, flop_estimate
 from .signal_model import CsiMatrix
-from .smoothing import covariance, make_plan, smooth
+from .smoothing import make_plan
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -59,10 +59,8 @@ def _effective_config(cfg: RunConfig, n_workers: int) -> dict:
 
 def cmd_estimate(cfg: RunConfig, csi_path: str) -> int:
     csi = CsiMatrix.from_binary(csi_path, cfg.radio)
-    subs = decompose(covariance(smooth(csi, cfg.plan)))
-    grid_config = GridConfig(cfg.radio, cfg.plan, cfg.theta_lim_rad)
-    report = detect(subs, grid_geometry(grid_config).params, grid_config,
-                    cfg.detector)
+    _, report = estimate(csi, GridConfig(cfg.radio, cfg.plan, cfg.theta_lim_rad),
+                         cfg.detector)
     text = report.to_json()
     print(text)
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -1,12 +1,16 @@
-"""Monte Carlo scenario generation, scoring rules and sweep execution.
+"""The estimate chain of one CSI frame, Monte Carlo scenario generation,
+scoring rules and sweep execution.
 
-Two-target trials draw a common base range and independent azimuths, move the
-second target out by the sweep's range difference, and keep the random
-geometry fixed across sweep points for a given trial index. Detection errors
-follow the range-based assignment rule: with two detections the one nearer
-the array maps to the nearer target; with fewer detections a missing
-estimate takes the strongest sample of the trial's coarse grid outside the
-main lobe of the estimate already made.
+``estimate`` turns one frame into its subspaces and detection report; the
+command-line ``estimate`` and every Monte Carlo trial call it. Two-target
+trials draw a common base range and independent azimuths, move the second
+target out by the sweep's range difference, and keep the random geometry
+fixed across sweep points for a given trial index. Detection errors follow
+the range-based assignment rule: with two detections the one nearer the
+array maps to the nearer target; with fewer detections a missing estimate
+takes the strongest sample of the trial's coarse grid outside the main lobe
+of the estimate already made. Sweeps and calibrations send their jobs
+through one job map, ``_map_jobs``, which owns its process pool.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import closing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,8 +35,8 @@ from .detection import (DetectionReport, DetectorConfig, cfar_threshold,
 from .errors import ConfigError, DomainError
 from .music import (DEFAULT_THETA_LIM_RAD, GridConfig, SpectrumGrid, Subspaces,
                     coarse_grid, decompose, grid_geometry)
-from .signal_model import (RadioConfig, Target, TargetScene, noiseless_power,
-                           scene_coefficient, synthesize_csi)
+from .signal_model import (CsiMatrix, RadioConfig, Target, TargetScene,
+                           noiseless_power, scene_coefficient, synthesize_csi)
 from .smoothing import SubarrayPlan, covariance, smooth
 
 logger = logging.getLogger(__name__)
@@ -273,6 +277,19 @@ def trimmed_rmse(errors) -> float:
     return rmse
 
 
+def estimate(csi: CsiMatrix, grid_config: GridConfig, det_config: DetectorConfig
+             ) -> tuple[Subspaces, DetectionReport]:
+    """Smooth, decompose and search one CSI frame: its subspaces and report.
+
+    The frame is smoothed with ``grid_config.plan``, its covariance
+    decomposed in MDL order, and ``detect`` searches the range-AoA spectrum
+    on the geometry of ``grid_config``.
+    """
+    subs = decompose(covariance(smooth(csi, grid_config.plan)))
+    return subs, detect(subs, grid_geometry(grid_config).params, grid_config,
+                        det_config)
+
+
 def run_trial(radio: RadioConfig, plan: SubarrayPlan, det_config: DetectorConfig,
               scene: TargetScene, noise_seed: int,
               theta_lim_rad: float = DEFAULT_THETA_LIM_RAD) -> TrialResult:
@@ -280,15 +297,13 @@ def run_trial(radio: RadioConfig, plan: SubarrayPlan, det_config: DetectorConfig
     if len(scene.targets) != 2:
         raise ConfigError("run_trial scores exactly two targets")
     csi = synthesize_csi(radio, scene, noise_seed)
-    subs = decompose(covariance(smooth(csi, plan)))
     grid_config = GridConfig(radio, plan, theta_lim_rad)
-    geometry = grid_geometry(grid_config)
-    report = detect(subs, geometry.params, grid_config, det_config)
-    ctx = ScoringContext(subs, grid_config)
+    subs, report = estimate(csi, grid_config, det_config)
     truth = tuple((t.range_m, t.azimuth_rad) for t in scene.targets)
     # With one angle column the sine axis is held: no azimuth is estimated.
-    return assign_and_score(truth, report, ctx,
-                            score_angle=geometry.angles_rad.size > 1)
+    return assign_and_score(
+        truth, report, ScoringContext(subs, grid_config),
+        score_angle=grid_geometry(grid_config).angles_rad.size > 1)
 
 
 def _openblas_function(name: str):
@@ -323,27 +338,27 @@ def _pin_blas_threads() -> None:
         set_threads(1)
 
 
-@contextmanager
-def _trial_map(n_workers: int):
-    """Yield ``map_trials(fn, n_jobs)``, backed by one pool per block.
+def _map_jobs(fn, n_jobs: int, n_workers: int):
+    """Yield ``fn(0), ..., fn(n_jobs - 1)``, in job order.
 
-    ``map_trials`` returns an iterator over ``fn(0), ..., fn(n_jobs - 1)``,
-    in job order; each result is computed or collected as the iterator
-    reaches it, so a caller that reduces the stream as it goes never holds
-    every result. With more than one worker every call shares a single
-    process pool, opened on entry and shut down on exit; its workers run
+    Each result is computed or collected as the caller reaches it, so a
+    caller that reduces the stream as it goes never holds every result. The
+    jobs run in this process with one worker, and otherwise in one process
+    pool of ``min(n_workers, n_jobs)`` workers, opened at the first result
+    and shut down when the generator ends or is closed. Its workers run
     OpenBLAS on one thread each and take jobs in chunks of
     ``n_jobs // (8 * n_workers)``, at least one.
     """
-    with (ProcessPoolExecutor(max_workers=n_workers,
-                              initializer=_pin_blas_threads) if n_workers > 1
-          else nullcontext()) as pool:
-        def map_trials(fn, n_jobs: int):
-            if pool is None:
-                return map(fn, range(n_jobs))
-            chunk = max(1, n_jobs // (8 * n_workers))
-            return pool.map(fn, range(n_jobs), chunksize=chunk)
-        yield map_trials
+    if n_workers < 1:
+        raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
+    n_workers = min(n_workers, n_jobs)
+    if n_workers == 1:
+        yield from map(fn, range(n_jobs))
+        return
+    with ProcessPoolExecutor(max_workers=n_workers,
+                             initializer=_pin_blas_threads) as pool:
+        yield from pool.map(fn, range(n_jobs),
+                            chunksize=max(1, n_jobs // (8 * n_workers)))
 
 
 def _sweep_trial(spec: ScenarioSpec, grid: GridConfig, det_config: DetectorConfig,
@@ -367,23 +382,22 @@ def run_sweep(spec: ScenarioSpec, radio: RadioConfig, plan: SubarrayPlan,
     """Run all trials at every sweep point and aggregate the metrics.
 
     Trials get independent sub-seeds, so the summary is bit-identical for any
-    worker count. All n_points x J jobs go to one ``map_trials`` call (job k
+    worker count. All n_points x J jobs go to one ``_map_jobs`` stream (job k
     is trial k mod J at sweep point k div J), so the pool does not drain at
     the end of each point, and each point is aggregated in trial order as
-    its J results arrive. The pool has at most one worker per job. The
-    per-point INFO records are logged once the last trial has returned, so
-    none is handled while a worker computes. Free-placement scenarios
-    collapse to a single sweep point with a NaN x value. On a grid with one
-    angle column every azimuth error is NaN, and so is their RMSE.
+    its J results arrive. The per-point INFO records are logged once the
+    pool has shut down, so none is handled while a worker computes.
+    Free-placement scenarios collapse to a single sweep point with a NaN x
+    value. On a grid with one angle column every azimuth error is NaN, and
+    so is their RMSE.
     """
     grid = GridConfig(radio, plan, theta_lim_rad)
     x_values = (math.nan,) if spec.free_placement else spec.range_diffs_m
     n_targets = 1 if first_target_only else 2
-    n_jobs = len(x_values) * spec.n_trials
     p_missed, rmse_r, rmse_th = [], [], []
-    with _trial_map(min(n_workers, n_jobs)) as map_trials:
-        results = map_trials(
-            functools.partial(_sweep_trial, spec, grid, det_config), n_jobs)
+    trial = functools.partial(_sweep_trial, spec, grid, det_config)
+    with closing(_map_jobs(trial, len(x_values) * spec.n_trials,
+                           n_workers)) as results:
         for _ in x_values:
             point = list(itertools.islice(results, spec.n_trials))
             p_missed.append(float(np.mean([any(m) for _, m in point])))
@@ -436,8 +450,7 @@ def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
     pivot = functools.partial(_calibration_pivot,
                               GridConfig(radio, plan, theta_lim_rad), det_config,
                               rng_seed)
-    with _trial_map(min(n_workers, n_trials)) as map_trials:
-        pivots = list(map_trials(pivot, n_trials))
+    pivots = list(_map_jobs(pivot, n_trials, n_workers))
     return max(1.0, empirical_quantile(pivots, 1.0 - det_config.p_fa))
 
 

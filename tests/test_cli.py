@@ -233,13 +233,13 @@ class TestEstimateCommand:
 
     def test_numerical_error_exit_3(self, baseline_cfg, tmp_path, capsys,
                                     monkeypatch):
-        import ofdm_music.cli as cli_mod
+        import ofdm_music.harness as harness_mod
         from ofdm_music.errors import NumericalError
 
         def boom(cov):
             raise NumericalError("eigensolver did not converge")
 
-        monkeypatch.setattr(cli_mod, "decompose", boom)
+        monkeypatch.setattr(harness_mod, "decompose", boom)
         csi_path = self.write_csi(tmp_path, (Target(8.0, 0.0, 0.015 + 0j),), 20.0)
         assert main(["estimate", str(csi_path), "--config",
                      str(baseline_cfg)]) == 3

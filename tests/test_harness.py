@@ -559,8 +559,7 @@ class TestRunSweep:
         assert run_sweep(spec, radio, plan, DetectorConfig()) == parallel
         assert inline_pools.maps == [(6, 1)]   # one worker maps in-process
         # The chunk rule over the 104 jobs of 26 points x 4 trials.
-        with harness._trial_map(2) as map_trials:
-            assert list(map_trials(abs, 104)) == list(range(104))
+        assert list(harness._map_jobs(abs, 104, 2)) == list(range(104))
         assert inline_pools.maps[-1] == (104, 6)
 
     def test_single_trial_points_share_a_pool(self, pool_starts):
@@ -577,15 +576,22 @@ class TestRunSweep:
     def test_point_records_follow_the_last_trial(self, inline_pools, monkeypatch,
                                                  caplog):
         # A record logged while a worker computes would time the worker as
-        # the parent's; every trial returns before the first record.
-        records_at_trial = []
+        # the parent's; every trial returns, and the pool shuts down, before
+        # the first record.
+        records_at_trial, records_at_exit = [], []
         trial = harness.run_trial
 
         def counted_trial(*args):
             records_at_trial.append(len(caplog.records))
             return trial(*args)
 
+        class ExitCountedPool(harness.ProcessPoolExecutor):
+            def __exit__(self, *exc):
+                records_at_exit.append(len(caplog.records))
+                return super().__exit__(*exc)
+
         monkeypatch.setattr(harness, "run_trial", counted_trial)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", ExitCountedPool)
         caplog.set_level(logging.INFO, logger=harness.__name__)
         radio = baseline_radio()
         spec = ScenarioSpec(n_trials=2, snr_db=15.0, range_diffs_m=(0.0, 1.0),
@@ -593,8 +599,20 @@ class TestRunSweep:
         run_sweep(spec, radio, baseline_plan(radio), DetectorConfig(), n_workers=2)
         assert inline_pools.maps == [(4, 1)]
         assert records_at_trial == [0] * 4
+        assert records_at_exit == [0]
         assert [r.getMessage().split(" (")[0] for r in caplog.records] == [
             "sweep point 1/2", "sweep point 2/2"]
+
+    @pytest.mark.parametrize("n_workers", [0, -3])
+    def test_no_workers_rejected(self, pool_starts, monkeypatch, n_workers):
+        trials = []
+        monkeypatch.setattr(harness, "run_trial",
+                            lambda *args: trials.append(args))
+        radio = baseline_radio()
+        with pytest.raises(ConfigError, match="n_workers must be >= 1"):
+            run_sweep(spec_with(), radio, baseline_plan(radio), DetectorConfig(),
+                      n_workers=n_workers)
+        assert trials == [] and pool_starts == []
 
     def test_free_placement_single_point(self):
         radio = baseline_radio()
@@ -701,8 +719,7 @@ class TestBlasPin:
         set_threads(before)
 
     def worker_threads(self):
-        with harness._trial_map(2) as map_trials:
-            seen = set(map_trials(blas_threads_in_worker, 8))
+        seen = set(harness._map_jobs(blas_threads_in_worker, 8, 2))
         assert len({pid for pid, _ in seen}) == 2
         return {threads for _, threads in seen}
 
@@ -752,6 +769,17 @@ class TestCalibrateKappa:
                             n_workers=2)
         assert pool_starts == []
 
+    def test_no_workers_rejected(self, pool_starts, monkeypatch):
+        pivots = []
+        monkeypatch.setattr(harness, "_calibration_pivot",
+                            lambda *args: pivots.append(args))
+        radio = small_radio(n=12, k=4)
+        plan = make_plan(radio, 9, 3, 1, 1, 1, 1)
+        with pytest.raises(ConfigError, match="n_workers must be >= 1"):
+            calibrate_kappa(radio, plan, DetectorConfig(), n_trials=4,
+                            n_workers=0)
+        assert pivots == [] and pool_starts == []
+
     def test_negative_seed_rejected(self, pool_starts):
         radio = small_radio(n=12, k=4)
         plan = make_plan(radio, 9, 3, 1, 1, 1, 1)
@@ -759,6 +787,31 @@ class TestCalibrateKappa:
             calibrate_kappa(radio, plan, DetectorConfig(), n_trials=4,
                             rng_seed=-1, n_workers=2)
         assert pool_starts == []
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("routine", list(Routine))
+    def test_matches_the_chain_written_out(self, routine):
+        radio = baseline_radio()
+        plan = baseline_plan(radio)
+        grid_config = GridConfig(radio, plan)
+        det = DetectorConfig(routine=routine)
+        spec = spec_with()
+        n_detections = 0
+        for trial_index in range(spec.n_trials):
+            for diff in spec.range_diffs_m:
+                scene = generate_trial(spec, radio, trial_index, diff)
+                csi = synthesize_csi(radio, scene, 100 + trial_index)
+                subs, report = harness.estimate(csi, grid_config, det)
+                chain = decompose(covariance(smooth(csi, plan)))
+                chain_report = detect(chain, grid_geometry(grid_config).params,
+                                      grid_config, det)
+                assert subs.signal_basis.tobytes() == chain.signal_basis.tobytes()
+                assert subs.eigenvalues.tobytes() == chain.eigenvalues.tobytes()
+                assert subs.order_estimate == chain.order_estimate
+                assert report.to_json() == chain_report.to_json()
+                n_detections += len(report.detections)
+        assert n_detections > 0
 
 
 class TestRunTrial:
