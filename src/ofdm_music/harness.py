@@ -34,7 +34,7 @@ from .detection import (DetectionReport, DetectorConfig, cfar_threshold,
                         detect, empirical_quantile, refine_candidates)
 from .errors import ConfigError, DomainError
 from .music import (DEFAULT_THETA_LIM_RAD, GridConfig, SpectrumGrid, Subspaces,
-                    coarse_grid, decompose, grid_geometry)
+                    coarse_grid, decompose, grid_geometry, model_order)
 from .signal_model import (CsiMatrix, RadioConfig, Target, TargetScene,
                            noiseless_power, scene_coefficient, synthesize_csi)
 from .smoothing import SubarrayPlan, covariance, smooth
@@ -417,13 +417,25 @@ def run_sweep(spec: ScenarioSpec, radio: RadioConfig, plan: SubarrayPlan,
 
 def _calibration_pivot(grid: GridConfig, det_config: DetectorConfig,
                        rng_seed: int, trial_index: int) -> float:
+    """The pivot of noise-only trial ``trial_index``: its strongest refined
+    peak over the (1 - p_fa) quantile of its first coarse grid.
+
+    It is 0.0 where the detector could not alarm: on an order-0 estimate,
+    whose spectrum is flat, and where every refinement pinned at a domain
+    edge. The first exit reads the eigenvalues alone (``model_order``),
+    because MDL reads only those and noise-only trials are mostly order 0;
+    only a nonzero order pays for the eigenvectors of ``decompose``.
+    """
     seed = _sub_seed(rng_seed, _CALIBRATION_TAG, trial_index)
     # Unit variance: MDL and the pivot ratio do not depend on the noise scale.
     scene = TargetScene(targets=(), noise_variance=1.0)
     csi = synthesize_csi(grid.radio, scene, seed)
-    subs = decompose(covariance(smooth(csi, grid.plan)))
-    if subs.signal_basis.shape[1] == 0:
-        return 0.0   # flat spectrum: the detector cannot alarm on this trial
+    cov = covariance(smooth(csi, grid.plan))
+    if model_order(cov) == 0:
+        return 0.0
+    subs = decompose(cov)
+    if subs.signal_basis.shape[1] == 0:   # the test detect applies
+        return 0.0
     spectrum = coarse_grid(subs, grid)
     peaks = refine_candidates(subs, grid, spectrum, det_config.n_seeds)
     if not peaks:   # every refinement pinned at a domain edge: nothing to alarm
@@ -442,6 +454,8 @@ def calibrate_kappa(radio: RadioConfig, plan: SubarrayPlan,
     (grid quantile); kappa is the (1 - p_fa) quantile of the pivots, so the
     probability that a noise-only trial produces any peak above
     kappa * quantile approximates p_fa. Deterministic for a given seed.
+    A trial whose MDL order is 0 stops after an eigenvalue-only
+    decomposition; only the others compute eigenvectors and refine.
     """
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")

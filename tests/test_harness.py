@@ -20,6 +20,9 @@ from ofdm_music import (ConfigError, Detection, DetectionReport, DetectorConfig,
                         noise_variance_for_snr, run_sweep, run_trial, smooth,
                         synthesize_csi, trimmed_rmse, write_sweep_outputs)
 from ofdm_music import harness
+from ofdm_music.config import (bundled_config_text, build_run_config,
+                               parse_config_text)
+from ofdm_music.detection import cfar_threshold, refine_candidates
 from ofdm_music.music import SpectrumGrid, coarse_grid, grid_geometry
 from ofdm_music.presets import baseline_plan, baseline_radio, range_only_plan
 
@@ -787,6 +790,50 @@ class TestCalibrateKappa:
             calibrate_kappa(radio, plan, DetectorConfig(), n_trials=4,
                             rng_seed=-1, n_workers=2)
         assert pool_starts == []
+
+
+def pivot_written_out(grid, det_config, rng_seed, trial_index):
+    """The calibration pivot as one chain: decompose, grid, refine, and the
+    strongest peak over the CFAR quantile."""
+    seed = harness._sub_seed(rng_seed, harness._CALIBRATION_TAG, trial_index)
+    csi = synthesize_csi(grid.radio, TargetScene((), 1.0), seed)
+    subs = decompose(covariance(smooth(csi, grid.plan)))
+    if subs.signal_basis.shape[1] == 0:
+        return 0.0
+    spectrum = coarse_grid(subs, grid)
+    peaks = refine_candidates(subs, grid, spectrum, det_config.n_seeds)
+    if not peaks:
+        return 0.0
+    return max(p[2] for p in peaks) / cfar_threshold(spectrum, det_config.p_fa)
+
+
+class TestCalibrationPivot:
+    def test_order_zero_skips_the_eigenvectors(self, monkeypatch):
+        def no_decompose(cov):
+            raise AssertionError("decompose called on an order-0 trial")
+
+        monkeypatch.setattr(harness, "decompose", no_decompose)
+        grid = GridConfig(baseline_radio(), baseline_plan())
+        assert [harness._calibration_pivot(grid, DetectorConfig(), 90_009, t)
+                for t in range(50)] == [0.0] * 50
+
+    @pytest.mark.parametrize("name, n_trials, n_nonzero", [
+        ("toy_geometry", 1000, 33), ("small", 40, 40)])
+    def test_equals_the_chain_written_out(self, name, n_trials, n_nonzero):
+        if name == "small":
+            radio = small_radio(n=12, k=4)
+            grid = GridConfig(radio, make_plan(radio, 9, 3, 1, 1, 1, 1))
+            det_config, seed = DetectorConfig(), 4
+        else:
+            cfg = build_run_config(parse_config_text(
+                bundled_config_text("toy_geometry.cfg")))
+            grid = GridConfig(cfg.radio, cfg.plan, cfg.theta_lim_rad)
+            det_config, seed = cfg.detector, cfg.scenario.rng_seed
+        pivots = [harness._calibration_pivot(grid, det_config, seed, t)
+                  for t in range(n_trials)]
+        assert pivots == [pivot_written_out(grid, det_config, seed, t)
+                          for t in range(n_trials)]
+        assert sum(p != 0.0 for p in pivots) == n_nonzero
 
 
 class TestEstimate:

@@ -12,10 +12,14 @@ from ofdm_music import (ConfigError, DomainError, GridConfig, NumericalError, Sa
                         range_resolution, smooth, steering_params,
                         synthesize_csi, unambiguous_range)
 from ofdm_music import music
+from ofdm_music.config import (bundled_config_text, build_run_config,
+                                parse_config_text)
 from ofdm_music.music import MUSIC_VALUE_CLAMP, SpectrumGrid, point_steering
-from ofdm_music.presets import baseline_plan, baseline_radio, equal_m_plan
+from ofdm_music.presets import (baseline_plan, baseline_radio, equal_m_plan,
+                                range_only_plan)
 
 from oracles import decimated_steering, sample_subarray
+from test_signal_model import small_radio
 
 
 def scene_covariance(cfg, plan, targets, snr_db, noise_seed=0):
@@ -227,11 +231,59 @@ class TestDecompose:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_covariance_rejected(self, bad):
-        # eigh does not flag these: on NaN input it returns made-up eigenvalues
+        # neither eigh nor eigvalsh flags these: on NaN input they return
+        # made-up eigenvalues
         r = np.eye(4, dtype=complex)
         r[1, 2] = r[2, 1] = bad
-        with pytest.raises(NumericalError, match="non-finite"):
-            decompose(SampleCovariance(matrix=r, n_snapshots=10))
+        for fn in (decompose, music.model_order):
+            with pytest.raises(NumericalError, match="non-finite"):
+                fn(SampleCovariance(matrix=r, n_snapshots=10))
+
+
+def noise_covariance(cfg, plan, noise_seed):
+    csi = synthesize_csi(cfg, TargetScene((), 1.0), noise_seed)
+    return covariance(smooth(csi, plan))
+
+
+class TestModelOrder:
+    @pytest.mark.parametrize("plan_fn", [
+        baseline_plan, range_only_plan, lambda cfg: equal_m_plan(1, cfg)])
+    def test_equals_the_decomposed_order(self, plan_fn):
+        # L >= M on all three plans; the SNRs give orders 0, 1 and 2
+        cfg = baseline_radio()
+        plan = plan_fn(cfg)
+        targets = (Target(6.0, -0.3, 0.05 + 0j), Target(14.0, 0.4, 0.01 + 0j))
+        orders = set()
+        for seed in range(12):
+            sigma2 = noise_variance_for_snr(TargetScene(targets, 0.0), cfg,
+                                            (-10.0, 0.0, 15.0)[seed % 3])
+            two = covariance(smooth(synthesize_csi(
+                cfg, TargetScene(targets, sigma2), seed), plan))
+            for cov in (noise_covariance(cfg, plan, seed), two):
+                q = decompose(cov).order_estimate
+                assert music.model_order(cov) == q
+                orders.add(q)
+        assert orders == {0, 1, 2}
+
+    @pytest.mark.parametrize("name", ["small", "toy_geometry"])
+    def test_zero_exactly_when_decomposed_order_is_zero(self, name):
+        # L < M (small: M = 27, L = 8) or L close to M (toy: M = 9, L = 10):
+        # eigh and eigvalsh round the tail eigenvalues differently, so only
+        # whether the order is zero is asserted
+        if name == "small":
+            cfg = small_radio(n=12, k=4)
+            plan = make_plan(cfg, 9, 3, 1, 1, 1, 1)
+        else:
+            run = build_run_config(parse_config_text(
+                bundled_config_text("toy_geometry.cfg")))
+            cfg, plan = run.radio, run.plan
+        zero = []
+        for seed in range(300):
+            cov = noise_covariance(cfg, plan, seed)
+            zero.append(decompose(cov).order_estimate == 0)
+            assert (music.model_order(cov) == 0) == zero[-1], seed
+        # small: every order nonzero; toy: both kinds occur
+        assert set(zero) == ({False} if name == "small" else {False, True})
 
 
 class TestMusicValue:
